@@ -255,12 +255,15 @@ def _solve_uniform(
 
     predictions: List[MixPrediction] = []
     for m, profiles in enumerate(mixes):
+        # base_cpi holds each profile's CPI once; profile.cpi would
+        # re-sum its intervals for every program of every mix.
+        cpis = base_cpi[m].tolist()
         programs = tuple(
             ProgramPrediction(
                 name=profile.benchmark,
                 core=core,
-                single_core_cpi=profile.cpi,
-                predicted_cpi=profile.cpi * float(slowdown[m, core]),
+                single_core_cpi=cpis[core],
+                predicted_cpi=cpis[core] * float(slowdown[m, core]),
             )
             for core, profile in enumerate(profiles)
         )

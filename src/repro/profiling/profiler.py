@@ -7,6 +7,12 @@ per-interval measurements into a :class:`SingleCoreProfile`.  The
 filtered LLC access trace produced by the same run is kept alongside
 the profile because the multi-core *reference* simulator (the stand-in
 for detailed CMP$im simulation) replays it.
+
+Trace generation and private-level filtering do not depend on the LLC:
+:meth:`Profiler.miss_stream` produces that stage on its own, so a
+caller profiling several LLC configurations (the
+:class:`~repro.profiling.store.ProfileStore`) can pay it once and hand
+the stream to :meth:`Profiler.profile` for each configuration.
 """
 
 from __future__ import annotations
@@ -17,7 +23,11 @@ from typing import Dict, Iterable, Optional
 from repro.config.machine import MachineConfig
 from repro.profiling.profile import IntervalProfile, SingleCoreProfile
 from repro.simulators.llc_trace import LLCAccessTrace
-from repro.simulators.single_core import SingleCoreRunResult, SingleCoreSimulator
+from repro.simulators.single_core import (
+    PrivateMissStream,
+    SingleCoreRunResult,
+    SingleCoreSimulator,
+)
 from repro.workloads.benchmark import BenchmarkSpec
 from repro.workloads.generator import TraceGenerator
 from repro.workloads.suite import BenchmarkSuite
@@ -70,10 +80,20 @@ class Profiler:
             machine=machine, interval_instructions=interval_instructions, kernel=kernel
         )
 
-    def profile(self, spec: BenchmarkSpec) -> ProfiledBenchmark:
-        """Profile one benchmark (generate trace, simulate in isolation)."""
-        trace = self.generator.generate(spec)
-        run = self.simulator.run(trace)
+    def miss_stream(self, spec: BenchmarkSpec) -> PrivateMissStream:
+        """The LLC-independent stage: generate the trace, filter it through the private levels."""
+        return self.simulator.filter_private(self.generator.generate(spec))
+
+    def profile(
+        self, spec: BenchmarkSpec, stream: Optional[PrivateMissStream] = None
+    ) -> ProfiledBenchmark:
+        """Profile one benchmark (generate trace, simulate in isolation).
+
+        ``stream`` is the benchmark's :meth:`miss_stream` from a
+        profiler with the same private levels, trace length, interval
+        and seed; passing it skips generation and private filtering.
+        """
+        run = self.simulator.run(self.miss_stream(spec) if stream is None else stream)
         return ProfiledBenchmark(
             profile=profile_from_run(run, self.machine), llc_trace=run.llc_trace
         )

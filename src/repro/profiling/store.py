@@ -13,6 +13,13 @@ Two kinds of artefacts are cached:
   the multi-core *reference* simulator; kept in memory and regenerated
   on demand (it is deterministic, so regeneration is always consistent
   with the profile).
+
+Profiling splits into an LLC-independent stage (trace generation and
+private-level filtering, see :meth:`Profiler.miss_stream`) and a cheap
+per-LLC stage.  The store memoises the first per (benchmark spec,
+private cache levels), so profiling a suite on all six Table 2 LLC
+configurations generates and filters each trace once, and the six
+machines' LLC traces share the memoised stream's (read-only) arrays.
 """
 
 from __future__ import annotations
@@ -20,11 +27,13 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Dict, Optional, Tuple
 
+from repro.config.cache_config import CacheConfig
 from repro.config.machine import MachineConfig
 from repro.io import atomic_write_json, read_json_tolerant
 from repro.profiling.profile import SingleCoreProfile
 from repro.profiling.profiler import ProfiledBenchmark, Profiler
 from repro.simulators.llc_trace import LLCAccessTrace
+from repro.simulators.single_core import PrivateMissStream
 from repro.workloads.benchmark import BenchmarkSpec
 from repro.workloads.suite import BenchmarkSuite
 
@@ -76,6 +85,9 @@ class ProfileStore:
         self._profiles: Dict[Tuple[BenchmarkSpec, str], SingleCoreProfile] = {}
         self._traces: Dict[Tuple[BenchmarkSpec, str], LLCAccessTrace] = {}
         self._profilers: Dict[str, Profiler] = {}
+        self._miss_streams: Dict[
+            Tuple[BenchmarkSpec, Tuple[CacheConfig, ...]], PrivateMissStream
+        ] = {}
         self.simulated_profiles = 0
         self.loaded_profiles = 0
         self.absorbed_profiles = 0
@@ -186,6 +198,7 @@ class ProfileStore:
         """Drop the in-memory caches (the on-disk cache is untouched)."""
         self._profiles.clear()
         self._traces.clear()
+        self._miss_streams.clear()
 
     # ------------------------------------------------------------------
     # Internal helpers
@@ -210,7 +223,14 @@ class ProfileStore:
         return self._profilers[key]
 
     def _simulate(self, spec: BenchmarkSpec, machine: MachineConfig) -> ProfiledBenchmark:
-        profiled = self._profiler_for(machine).profile(spec)
+        profiler = self._profiler_for(machine)
+        # The LLC-independent stage, shared by every LLC configuration
+        # on the same private levels.
+        stream_key = (spec, machine.private_levels)
+        stream = self._miss_streams.get(stream_key)
+        if stream is None:
+            stream = self._miss_streams[stream_key] = profiler.miss_stream(spec)
+        profiled = profiler.profile(spec, stream)
         key = self._key(spec, machine)
         self._profiles[key] = profiled.profile
         self._traces[key] = profiled.llc_trace

@@ -23,7 +23,7 @@ from __future__ import annotations
 import asyncio
 from concurrent.futures import Executor as ThreadExecutor
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple, TYPE_CHECKING
 
 from repro.config.machine import MachineConfig
 from repro.core.result import MixPrediction
@@ -99,7 +99,9 @@ class PredictionBatcher:
         self.stats = stats if stats is not None else ServiceStats()
         self._pending: List[Tuple[PredictOp, asyncio.Future]] = []
         self._inflight: Dict[Tuple, asyncio.Future] = {}
-        self._flush_task: Optional[asyncio.Task] = None
+        self._window_timer: Optional[asyncio.Task] = None
+        # Strong references to flush tasks: the event loop holds tasks weakly.
+        self._flushes: Set[asyncio.Task] = set()
         self._closed = False
 
     async def submit(self, op: PredictOp) -> MixPrediction:
@@ -116,18 +118,18 @@ class PredictionBatcher:
         self._pending.append((op, future))
         if len(self._pending) >= self.max_batch:
             # The window timer (if any) will find nothing left to flush.
-            asyncio.get_running_loop().create_task(self._flush())
-        elif self._flush_task is None or self._flush_task.done():
-            self._flush_task = asyncio.get_running_loop().create_task(self._delayed_flush())
+            self._start(self._flush())
+        elif self._window_timer is None or self._window_timer.done():
+            self._window_timer = self._start(self._delayed_flush())
         return await asyncio.shield(future)
 
     async def close(self) -> None:
         """Stop accepting work and fail anything still queued."""
         self._closed = True
-        if self._flush_task is not None and not self._flush_task.done():
-            self._flush_task.cancel()
+        if self._window_timer is not None and not self._window_timer.done():
+            self._window_timer.cancel()
             try:
-                await self._flush_task
+                await self._window_timer
             except asyncio.CancelledError:
                 pass
         batch, self._pending = self._pending, []
@@ -140,8 +142,18 @@ class PredictionBatcher:
     # Flushing
     # ------------------------------------------------------------------
 
+    def _start(self, flush) -> asyncio.Task:
+        task = asyncio.get_running_loop().create_task(flush)
+        self._flushes.add(task)
+        task.add_done_callback(self._flushes.discard)
+        return task
+
     async def _delayed_flush(self) -> None:
         await asyncio.sleep(self.window)
+        # The window is over: a submission from now on arms a timer of
+        # its own, even while this flush waits on the engine, instead
+        # of waiting for some later arrival to flush it.
+        self._window_timer = None
         await self._flush()
 
     async def _flush(self) -> None:

@@ -8,46 +8,64 @@ multi-core reference simulator replays.
 
 One :class:`SingleCoreSimulator.run` call produces everything at once:
 a :class:`SingleCoreRunResult` holding the interval measurements, the
-overall CPI stack and the :class:`LLCAccessTrace`.
+overall CPI stack and the :class:`LLCAccessTrace`.  It runs in two
+stages:
 
-Two replay kernels produce the per-access outcomes:
+1. :meth:`SingleCoreSimulator.filter_private` — the LLC-independent
+   stage: filter the trace through the private levels and do all of
+   their cycle accounting, leaving a :class:`PrivateMissStream` (the
+   accesses that miss every private level, with their upstream cycle
+   gaps and interval ids);
+2. the per-LLC stage — resolve the LLC on that stream (hit/miss,
+   stack-distance counters) and assemble the CPI stack and LLC trace.
+
+By LRU stack inclusion (Mattson et al., 1970) only the second stage
+depends on the LLC, so ``run`` also accepts a miss stream filtered
+earlier: profiling one benchmark on several LLC configurations that
+share the private levels (the six Table 2 machines) generates and
+filters its trace once.
+
+Two replay kernels produce the per-access outcomes of each stage:
 
 * ``"vectorized"`` (the default) resolves every cache level with
   batched per-set stack distances (:mod:`repro.caches.vectorized`) —
   a handful of array passes over the whole trace, exploiting that an
   access hits an A-way LRU cache iff its stack distance is at most A;
 * ``"reference"`` walks every access through stateful
-  :class:`~repro.caches.hierarchy.CacheHierarchy` /
+  :class:`~repro.caches.set_associative.SetAssociativeCache` /
   :class:`~repro.caches.stack_distance.StackDistanceProfiler` objects,
   one at a time — the direct transcription of what profiling hardware
   would observe, kept as the ground truth the fast kernel is tested
   against.
 
-Both kernels emit the same outcome arrays (which level served each
-access, the filtered LLC stream and its stack distances) and share one
-assembly routine for all cycle accounting, so their
-:class:`SingleCoreRunResult`\\ s are bit-identical — asserted by the
-equivalence suite and guarded by ``benchmarks/bench_singlecore_kernel``.
+Both kernels emit the same outcome arrays (which private level served
+each access and the filtered LLC stream; then the LLC hit mask and
+stack distances) and share both assembly routines for all cycle
+accounting, so their :class:`SingleCoreRunResult`\\ s are
+bit-identical — asserted by the equivalence suite and guarded by
+``benchmarks/bench_singlecore_kernel``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
-from repro.caches.hierarchy import CacheHierarchy
+from repro.caches.set_associative import SetAssociativeCache
 from repro.caches.stack_distance import (
     StackDistanceCounters,
     StackDistanceProfiler,
     distance_slots,
 )
-from repro.caches.vectorized import replay_hierarchy, replay_private_levels
+from repro.caches.vectorized import lru_hit_mask, replay_private_levels, stack_distances
+from repro.config.cache_config import CacheConfig
 from repro.config.machine import MachineConfig
 from repro.cores.core_model import CoreTimingModel
 from repro.cores.cpi_stack import CPIStack
 from repro.simulators.llc_trace import LLCAccessTrace
+from repro.workloads.benchmark import BenchmarkSpec
 from repro.workloads.trace import MemoryTrace
 
 #: The replay kernels ``SingleCoreSimulator`` can use.
@@ -74,6 +92,57 @@ class IntervalMeasurement:
     @property
     def memory_cpi(self) -> float:
         return self.memory_cycles / self.instructions if self.instructions else 0.0
+
+
+@dataclass(frozen=True)
+class PrivateMissStream:
+    """The LLC-independent half of a profiling run.
+
+    Everything :meth:`SingleCoreSimulator.filter_private` derives from a
+    trace and the private cache levels alone: the stream of accesses
+    that miss every private level (the LLC's input) and the
+    per-interval cycles of the base CPI and private-level hits.  Every
+    array is read-only: the LLC traces of all machines that share the
+    private levels reference these arrays instead of copying them, so
+    an in-place write would corrupt a sibling configuration's trace.
+
+    Attributes
+    ----------
+    spec, num_instructions:
+        The benchmark and the dynamic instruction count of its trace.
+    private_levels, interval_instructions:
+        What the stream was filtered through and cut by; a simulator
+        only accepts a stream that matches its own.
+    line, insn, upstream_cycle_gap:
+        Per miss-stream access: line address, dynamic instruction index
+        and upstream cycles since the previous one (the
+        :class:`LLCAccessTrace` fields of the same names).
+    interval_id:
+        Per miss-stream access: the profiling interval it falls in.
+    tail_cycles:
+        Upstream cycles after the last miss-stream access.
+    interval_lengths, base_cycles, private_cycles:
+        Per interval: instructions, base cycles and exposed
+        private-hit cycles.
+    """
+
+    spec: BenchmarkSpec
+    num_instructions: int
+    private_levels: Tuple[CacheConfig, ...]
+    interval_instructions: int
+    line: np.ndarray
+    insn: np.ndarray
+    upstream_cycle_gap: np.ndarray
+    interval_id: np.ndarray
+    tail_cycles: float
+    interval_lengths: np.ndarray
+    base_cycles: np.ndarray
+    private_cycles: np.ndarray
+
+    def __post_init__(self) -> None:
+        for value in vars(self).values():
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -149,20 +218,41 @@ class SingleCoreSimulator:
             raise ValueError(f"kernel must be one of {KERNELS}, got {kernel!r}")
         return kernel
 
-    def run(self, trace: MemoryTrace, kernel: Optional[str] = None) -> SingleCoreRunResult:
+
+    def run(
+        self, trace: Union[MemoryTrace, PrivateMissStream], kernel: Optional[str] = None
+    ) -> SingleCoreRunResult:
         """Simulate ``trace`` in isolation and collect the profile data.
 
-        ``kernel`` overrides the simulator's default replay kernel for
-        this run only.
+        ``trace`` is either a memory trace or the miss stream
+        :meth:`filter_private` made of it on a machine with the same
+        private levels (any LLC); the result is the same.  ``kernel``
+        overrides the simulator's default replay kernel for this run
+        only.
         """
         kernel = self.kernel if kernel is None else self._validate_kernel(kernel)
-        if kernel == "vectorized":
-            served_level, llc_index, llc_distances = replay_hierarchy(
-                trace.access_line, self.machine
-            )
+        if isinstance(trace, PrivateMissStream):
+            stream = self._check_stream(trace)
         else:
-            served_level, llc_index, llc_distances = self._reference_outcomes(trace)
-        return self._assemble_result(trace, served_level, llc_index, llc_distances)
+            stream = self.filter_private(trace, kernel)
+        llc = self.machine.llc
+        if kernel == "vectorized":
+            llc_distances = stack_distances(stream.line, llc.num_sets)
+            llc_hit = lru_hit_mask(llc_distances, llc.associativity)
+        else:
+            llc_hit, llc_distances = self._reference_llc(stream)
+        return self._resolve_llc(stream, llc_hit, llc_distances)
+
+    def filter_private(
+        self, trace: MemoryTrace, kernel: Optional[str] = None
+    ) -> PrivateMissStream:
+        """The LLC-independent stage: filter ``trace`` through the private levels."""
+        kernel = self.kernel if kernel is None else self._validate_kernel(kernel)
+        if kernel == "vectorized":
+            served_level, llc_index, _ = replay_private_levels(trace.access_line, self.machine)
+        else:
+            served_level, llc_index = self._reference_private(trace)
+        return self._miss_stream(trace, served_level, llc_index)
 
     def run_with_perfect_llc(self, trace: MemoryTrace, kernel: Optional[str] = None) -> float:
         """CPI of a run where every LLC access hits (the paper's perfect-LLC run).
@@ -170,98 +260,91 @@ class SingleCoreSimulator:
         The paper describes two ways of obtaining the memory CPI; the
         two-run method subtracts the perfect-LLC CPI from the real CPI.
         Our accounting method gives the same number directly, but this
-        run is kept for cross-validation in the test suite.
+        run is kept for cross-validation in the test suite.  Every
+        access that reaches the perfect LLC hits, so only the private
+        levels are replayed.
         """
-        kernel = self.kernel if kernel is None else self._validate_kernel(kernel)
-        num_private = len(self.machine.private_levels)
-        if kernel == "vectorized":
-            # Private-level filtering only: every access that reaches the
-            # perfect LLC hits, so its stack distances are never needed.
-            served_level, llc_index, _ = replay_private_levels(
-                trace.access_line, self.machine
-            )
-        else:
-            served_level, llc_index, _ = self._reference_outcomes(
-                trace, collect_llc_distances=False
-            )
-        core_model = CoreTimingModel(self.machine, trace.spec)
-        # With a perfect LLC every access that reaches it is a hit, so
-        # the cycle count is a closed-form weighted sum of the level
-        # populations (identical for both kernels by construction).
-        cycles = float(trace.base_cycle_gap.sum()) + trace.tail_base_cycles
-        for level_index in range(num_private):
-            penalty = core_model.private_hit_penalty(level_index)
-            if penalty:
-                cycles += float(np.count_nonzero(served_level == level_index)) * penalty
-        cycles += float(len(llc_index)) * core_model.llc_hit_penalty
+        stream = self.filter_private(trace, kernel)
+        llc_hit_penalty = CoreTimingModel(self.machine, trace.spec).llc_hit_penalty
+        cycles = (
+            float(stream.base_cycles.sum())
+            + float(stream.private_cycles.sum())
+            + len(stream.line) * llc_hit_penalty
+        )
         return cycles / trace.num_instructions
+
+    def _check_stream(self, stream: PrivateMissStream) -> PrivateMissStream:
+        if stream.private_levels != self.machine.private_levels:
+            raise ValueError(
+                f"{stream.spec.name}: the miss stream was filtered through other private levels"
+            )
+        if stream.interval_instructions != self.interval_instructions:
+            raise ValueError(
+                f"{stream.spec.name}: the miss stream has "
+                f"{stream.interval_instructions}-instruction intervals, "
+                f"the simulator {self.interval_instructions}"
+            )
+        return stream
 
     # ------------------------------------------------------------------
     # Reference kernel: per-access stateful cache simulation
     # ------------------------------------------------------------------
 
-    def _reference_outcomes(
-        self, trace: MemoryTrace, collect_llc_distances: bool = True
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Walk every access through stateful cache objects, one at a time.
+    def _reference_private(self, trace: MemoryTrace) -> Tuple[np.ndarray, np.ndarray]:
+        """Walk every access through stateful private caches, one at a time.
 
         Produces the same outcome arrays as
-        :func:`repro.caches.vectorized.replay_hierarchy`: the level that
-        served each access, the filtered LLC stream and the per-set LLC
-        stack distance of each filtered access.  The perfect-LLC run
-        never consumes the distances and skips their collection.
+        :func:`repro.caches.vectorized.replay_private_levels`: the
+        private level that served each access (``P + 1`` where none
+        did) and the ascending indices of the accesses that reach the
+        LLC.
         """
-        machine = self.machine
-        hierarchy = CacheHierarchy(machine, include_llc=True)
-        sdc_profiler = (
-            StackDistanceProfiler(
-                num_sets=machine.llc.num_sets, associativity=machine.llc.associativity
-            )
-            if collect_llc_distances
-            else None
-        )
-        num_private = len(machine.private_levels)
-        access_line = trace.access_line
-        served_level = np.empty(trace.num_accesses, dtype=np.int64)
+        levels = [SetAssociativeCache(config) for config in self.machine.private_levels]
+        num_private = len(levels)
+        served_level = np.full(trace.num_accesses, num_private + 1, dtype=np.int64)
         llc_index: List[int] = []
-        llc_distances: List[int] = []
-        for i in range(trace.num_accesses):
-            line = int(access_line[i])
-            outcome = hierarchy.access(line)
-            if not outcome.reached_llc:
-                served_level[i] = outcome.level_index
-                continue
-            llc_index.append(i)
-            if sdc_profiler is not None:
-                llc_distances.append(sdc_profiler.access(line))
-            served_level[i] = num_private if outcome.llc_hit else num_private + 1
-        return (
-            served_level,
-            np.asarray(llc_index, dtype=np.int64),
-            np.asarray(llc_distances, dtype=np.int64),
-        )
+        for i, line in enumerate(trace.access_line.tolist()):
+            for level_index, level in enumerate(levels):
+                if level.access(line).hit:
+                    served_level[i] = level_index
+                    break
+            else:
+                llc_index.append(i)
+        return served_level, np.asarray(llc_index, dtype=np.int64)
 
-    # ------------------------------------------------------------------
-    # Shared assembly: outcomes -> SingleCoreRunResult
-    # ------------------------------------------------------------------
+    def _reference_llc(self, stream: PrivateMissStream) -> Tuple[np.ndarray, np.ndarray]:
+        """Walk the miss stream through a stateful LLC and stack-distance profiler.
 
-    def _assemble_result(
-        self,
-        trace: MemoryTrace,
-        served_level: np.ndarray,
-        llc_index: np.ndarray,
-        llc_distances: np.ndarray,
-    ) -> SingleCoreRunResult:
-        """Turn per-access outcomes into the run result.
-
-        All cycle accounting happens here, as weighted sums over the
-        outcome arrays; both kernels route through this method, which is
-        what makes their results bit-identical.
+        Returns the LLC hit mask and per-set LLC stack distance of each
+        miss-stream access, as the vectorized kernel computes them.
         """
-        machine = self.machine
-        core_model = CoreTimingModel(machine, trace.spec)
-        num_private = len(machine.private_levels)
-        associativity = machine.llc.associativity
+        llc_config = self.machine.llc
+        llc = SetAssociativeCache(llc_config)
+        profiler = StackDistanceProfiler(
+            num_sets=llc_config.num_sets, associativity=llc_config.associativity
+        )
+        llc_hit = np.empty(len(stream.line), dtype=bool)
+        llc_distances = np.empty(len(stream.line), dtype=np.int64)
+        for k, line in enumerate(stream.line.tolist()):
+            llc_hit[k] = llc.access(line).hit
+            llc_distances[k] = profiler.access(line)
+        return llc_hit, llc_distances
+
+    # ------------------------------------------------------------------
+    # Shared assembly: outcomes -> PrivateMissStream -> SingleCoreRunResult
+    # ------------------------------------------------------------------
+
+    def _miss_stream(
+        self, trace: MemoryTrace, served_level: np.ndarray, llc_index: np.ndarray
+    ) -> PrivateMissStream:
+        """Turn the private-level outcomes into the LLC-independent stage.
+
+        All base and private-hit cycle accounting happens here, as
+        weighted sums over the outcome arrays; both kernels route
+        through this method.
+        """
+        core_model = CoreTimingModel(self.machine, trace.spec)
+        num_private = len(self.machine.private_levels)
         penalties = [core_model.private_hit_penalty(level) for level in range(num_private)]
 
         # Leading-zero cumulative sums: sum over accesses [a, b) is c[b] - c[a].
@@ -292,49 +375,78 @@ class SingleCoreSimulator:
             tail_cycles += float(cum[num_accesses] - cum[tail_start]) * penalties[level]
         tail_cycles += trace.tail_base_cycles
 
-        # Per-interval outcome populations and SDC counters, as fused
-        # histograms over (interval, outcome) pairs.
+        # Per-interval base cycles and private-level populations.
         slices = trace.interval_slices(self.interval_instructions)
         num_intervals = len(slices)
         starts = np.fromiter((start for start, _ in slices), dtype=np.int64, count=num_intervals)
         stops = np.fromiter((stop for _, stop in slices), dtype=np.int64, count=num_intervals)
         interval_id = np.repeat(np.arange(num_intervals, dtype=np.int64), stops - starts)
-        outcomes = num_private + 2
-        outcome_hist = np.bincount(
-            interval_id * outcomes + served_level, minlength=num_intervals * outcomes
-        ).reshape(num_intervals, outcomes)
+        level_hist = np.bincount(
+            interval_id * (num_private + 2) + served_level,
+            minlength=num_intervals * (num_private + 2),
+        ).reshape(num_intervals, num_private + 2)
+        base_cycles = cum_base[stops] - cum_base[starts]
+        # Cycles after the last memory access belong to the last interval.
+        base_cycles[-1] += trace.tail_base_cycles
+        private_cycles = np.zeros(num_intervals, dtype=np.float64)
+        for level in cum_level:
+            private_cycles = private_cycles + level_hist[:, level] * penalties[level]
+        boundaries = np.minimum(
+            np.arange(1, num_intervals + 1, dtype=np.int64) * self.interval_instructions,
+            trace.num_instructions,
+        )
+
+        return PrivateMissStream(
+            spec=trace.spec,
+            num_instructions=trace.num_instructions,
+            private_levels=self.machine.private_levels,
+            interval_instructions=self.interval_instructions,
+            line=np.asarray(trace.access_line[llc_index], dtype=np.int64),
+            insn=np.asarray(trace.access_insn[llc_index], dtype=np.int64),
+            upstream_cycle_gap=np.asarray(gaps, dtype=np.float64),
+            interval_id=interval_id[llc_index],
+            tail_cycles=float(tail_cycles),
+            interval_lengths=np.diff(boundaries, prepend=0),
+            base_cycles=base_cycles,
+            private_cycles=private_cycles,
+        )
+
+    def _resolve_llc(
+        self, stream: PrivateMissStream, llc_hit: np.ndarray, llc_distances: np.ndarray
+    ) -> SingleCoreRunResult:
+        """Turn the LLC outcomes of a miss stream into the run result.
+
+        LLC cycle accounting and the CPI stack happen here; both kernels
+        route through this method, which (with :meth:`_miss_stream`) is
+        what makes their results bit-identical.  The LLC trace shares
+        the stream's arrays.
+        """
+        machine = self.machine
+        core_model = CoreTimingModel(machine, stream.spec)
+        associativity = machine.llc.associativity
+        num_intervals = len(stream.base_cycles)
+        interval_id = stream.interval_id
+        hits_per_interval = np.bincount(interval_id[llc_hit], minlength=num_intervals)
+        misses_per_interval = np.bincount(interval_id[~llc_hit], minlength=num_intervals)
         # SDC counters of each interval's slice of the LLC stream (the
         # per-set stacks persist across interval boundaries).
         slots = distance_slots(llc_distances, associativity)
         sdc_hist = np.bincount(
-            interval_id[llc_index] * (associativity + 1) + slots,
+            interval_id * (associativity + 1) + slots,
             minlength=num_intervals * (associativity + 1),
         ).reshape(num_intervals, associativity + 1).astype(np.float64)
 
         overall = CPIStack()
         intervals: List[IntervalMeasurement] = []
-        previous_boundary_insn = 0
         for interval_index in range(num_intervals):
             interval_stack = CPIStack()
-            base_cycles = float(cum_base[stops[interval_index]] - cum_base[starts[interval_index]])
-            if interval_index == num_intervals - 1:
-                # Cycles after the last memory access belong to the last interval.
-                base_cycles += trace.tail_base_cycles
-            interval_stack.add_base(base_cycles)
-            for level in range(num_private):
-                if penalties[level]:
-                    count = int(outcome_hist[interval_index, level])
-                    interval_stack.add_private_cache(count * penalties[level])
-            llc_hits = int(outcome_hist[interval_index, num_private])
-            llc_misses = int(outcome_hist[interval_index, num_private + 1])
+            interval_stack.add_base(float(stream.base_cycles[interval_index]))
+            interval_stack.add_private_cache(float(stream.private_cycles[interval_index]))
+            llc_hits = int(hits_per_interval[interval_index])
+            llc_misses = int(misses_per_interval[interval_index])
             interval_stack.add_llc(llc_hits * core_model.llc_hit_penalty)
             interval_stack.add_memory(llc_misses * core_model.memory_penalty)
-
-            boundary_insn = min(
-                (interval_index + 1) * self.interval_instructions, trace.num_instructions
-            )
-            interval_instructions = boundary_insn - previous_boundary_insn
-            previous_boundary_insn = boundary_insn
+            interval_instructions = int(stream.interval_lengths[interval_index])
             interval_stack.add_instructions(interval_instructions)
 
             intervals.append(
@@ -354,17 +466,17 @@ class SingleCoreSimulator:
             overall = overall.merged_with(interval_stack)
 
         llc_trace = LLCAccessTrace(
-            spec=trace.spec,
-            num_instructions=trace.num_instructions,
-            line=np.asarray(trace.access_line[llc_index], dtype=np.int64),
-            insn=np.asarray(trace.access_insn[llc_index], dtype=np.int64),
-            upstream_cycle_gap=np.asarray(gaps, dtype=np.float64),
-            tail_cycles=float(tail_cycles),
+            spec=stream.spec,
+            num_instructions=stream.num_instructions,
+            line=stream.line,
+            insn=stream.insn,
+            upstream_cycle_gap=stream.upstream_cycle_gap,
+            tail_cycles=stream.tail_cycles,
             isolated_cycles=overall.total_cycles,
         )
 
         return SingleCoreRunResult(
-            benchmark=trace.name,
+            benchmark=stream.spec.name,
             machine_name=machine.name,
             interval_instructions=self.interval_instructions,
             intervals=intervals,

@@ -10,13 +10,19 @@ from __future__ import annotations
 
 import asyncio
 import json
+import threading
+from concurrent.futures import ThreadPoolExecutor
+from types import SimpleNamespace
 
 import pytest
 
+from repro.config import MachineConfig
 from repro.experiments import ExperimentSetup
 from repro.predictors import available_predictors
 from repro.service import (
     LatencyTracker,
+    PredictionBatcher,
+    PredictOp,
     ServiceClient,
     ServiceClientError,
     ServiceConfig,
@@ -494,6 +500,42 @@ class TestBatchingAndCaching:
         assert entry["max_size"] >= 1
         assert entry["mean_size"] > 0
         assert entry["solve_time_ms"] >= 0
+
+
+class TestBatcherFlushing:
+    """The batcher on its own, with a runner the test controls."""
+
+    @staticmethod
+    def op(*programs):
+        setup = SimpleNamespace(workload_spec=WORKLOAD)
+        return PredictOp(setup, "mppm:foa", WorkloadMix(programs), MachineConfig())
+
+    def test_a_submit_during_a_running_flush_is_answered_without_another_arrival(self):
+        started, release = threading.Event(), threading.Event()
+        batches = []
+
+        def runner(ops):
+            batches.append([op.mix.programs for op in ops])
+            if len(batches) == 1:
+                started.set()
+                release.wait(timeout=10)
+            return [op.mix.programs for op in ops]
+
+        async def scenario(executor):
+            loop = asyncio.get_running_loop()
+            batcher = PredictionBatcher(runner, executor, window=0.001)
+            first = asyncio.ensure_future(batcher.submit(self.op("a", "b")))
+            assert await loop.run_in_executor(None, started.wait, 10)
+            # The first window's flush is now blocked in the engine.
+            second = asyncio.ensure_future(batcher.submit(self.op("c", "d")))
+            await asyncio.sleep(0.05)
+            release.set()
+            return await asyncio.wait_for(asyncio.gather(first, second), timeout=5)
+
+        with ThreadPoolExecutor(max_workers=1) as executor:
+            answers = asyncio.run(scenario(executor))
+        assert answers == [("a", "b"), ("c", "d")]
+        assert batches == [[("a", "b")], [("c", "d")]]
 
 
 # ---------------------------------------------------------------------------
