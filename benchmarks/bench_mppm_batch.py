@@ -1,15 +1,15 @@
 """Benchmark guard: the batched MPPM solver versus the per-mix reference loop.
 
 Exploring the paper's workload space means solving the Figure-2 fixed
-point for hundreds to thousands of mixes per sweep.  The default
-``"batched"`` kernel solves a whole batch at once over mix-major numpy
-state arrays (one vectorized iteration step, a convergence mask
-retiring mixes in place); the ``"reference"`` kernel iterates each mix
-in pure Python.  This guard asserts, at workload-space scale on the
-default experiment configuration, that the two kernels stay
+point for hundreds to thousands of mixes per sweep.  :class:`MPPM`
+solves a whole batch at once over mix-major numpy state arrays (one
+vectorized iteration step, a convergence mask retiring mixes in
+place); the test oracle :class:`repro.oracles.ReferenceMPPM` iterates
+each mix in pure Python.  This guard asserts, at workload-space scale
+on the default experiment configuration, that the two stay
 bit-identical for every ``mppm:*`` variant *and* that the batched
-kernel keeps its speedup — so a silent fallback to the reference path
-(or a regression that slows the kernel to parity) fails the build.
+solver keeps its speedup — so a fall back to the per-mix loop (or a
+regression that slows the solver to parity) fails the build.
 
 Run standalone (CI uses ``--quick``)::
 
@@ -24,6 +24,7 @@ import time
 from repro.contention import make_contention_model
 from repro.core import MPPM, MPPMConfig
 from repro.experiments import ExperimentConfig, ExperimentSetup
+from repro.oracles import ReferenceMPPM
 
 #: Every registered ``mppm:*`` spec as (contention model, config);
 #: the equivalence sweep runs all of them, the timing run uses FOA.
@@ -43,7 +44,7 @@ DEFAULT_MIXES = 300
 DEFAULT_FLOOR = 5.0
 #: Quick mode: short traces + a small sweep for CI smoke; fixed numpy
 #: overheads eat into the ratio at this size, so the floor only needs
-#: to prove the batched path is live (a fallback would measure ~1x).
+#: to prove the batched path is live (the per-mix loop measures ~1x).
 QUICK_INSTRUCTIONS = 50_000
 QUICK_MIXES = 64
 QUICK_FLOOR = 2.0
@@ -56,11 +57,10 @@ IDENTITY_SLICE = 10
 def _assert_identical(reference, batched):
     assert len(reference) == len(batched)
     for ref, bat in zip(reference, batched):
-        assert ref.kernel == "reference" and bat.kernel == "batched"
         assert ref.iterations == bat.iterations
         assert ref.converged == bat.converged
         for ref_program, bat_program in zip(ref.programs, bat.programs):
-            # Exact equality on purpose: the kernels share op order.
+            # Exact equality on purpose: the two solvers share op order.
             assert ref_program.predicted_cpi == bat_program.predicted_cpi
 
 
@@ -69,9 +69,9 @@ def measure_kernels(
     num_mixes: int = DEFAULT_MIXES,
     rounds: int = 3,
 ) -> dict:
-    """Time both kernels over one mix sweep; returns seconds + speedup.
+    """Time solver and oracle over one mix sweep; returns seconds + speedup.
 
-    Uses best-of-``rounds`` per kernel (the minimum is the least noisy
+    Uses best-of-``rounds`` per solver (the minimum is the least noisy
     estimator of the true cost) and asserts bit-identical results for
     every ``mppm:*`` variant along the way.
     """
@@ -87,29 +87,28 @@ def measure_kernels(
     batches = [[profiles[name] for name in mix.programs] for mix in mixes]
 
     for contention, config in VARIANTS.values():
-        model = MPPM(machine, make_contention_model(contention), config)
         slice_ = batches[:IDENTITY_SLICE]
         _assert_identical(
-            model.predict_batch(slice_, kernel="reference"),
-            model.predict_batch(slice_, kernel="batched"),
+            ReferenceMPPM(machine, make_contention_model(contention), config).predict_batch(
+                slice_
+            ),
+            MPPM(machine, make_contention_model(contention), config).predict_batch(slice_),
         )
 
-    model = MPPM(machine)  # the timed variant: mppm:foa defaults
-    _assert_identical(
-        model.predict_batch(batches, kernel="reference"),
-        model.predict_batch(batches, kernel="batched"),
-    )
+    # The timed variant: mppm:foa defaults.
+    model, oracle = MPPM(machine), ReferenceMPPM(machine)
+    _assert_identical(oracle.predict_batch(batches), model.predict_batch(batches))
 
-    def best_of(kernel: str) -> float:
+    def best_of(solver: MPPM) -> float:
         timings = []
         for _ in range(rounds):
             start = time.perf_counter()
-            model.predict_batch(batches, kernel=kernel)
+            solver.predict_batch(batches)
             timings.append(time.perf_counter() - start)
         return min(timings)
 
-    batched_seconds = best_of("batched")
-    reference_seconds = best_of("reference")
+    batched_seconds = best_of(model)
+    reference_seconds = best_of(oracle)
     return {
         "num_instructions": num_instructions,
         "num_mixes": num_mixes,
@@ -135,8 +134,8 @@ def run_guard(quick: bool = False) -> dict:
         f"-> speedup {result['speedup']:.1f}x (floor {floor:.1f}x)"
     )
     assert result["speedup"] >= floor, (
-        f"batched MPPM kernel regressed (or silently fell back to the "
-        f"reference path): {result['speedup']:.2f}x < required {floor:.1f}x"
+        f"batched MPPM solver regressed (or fell back to the per-mix "
+        f"loop): {result['speedup']:.2f}x < required {floor:.1f}x"
     )
     return result
 
@@ -151,8 +150,8 @@ def main() -> None:
     parser.add_argument(
         "--quick",
         action="store_true",
-        help="small sweep + relaxed floor (CI smoke: catches a fallback, "
-        "tolerates shared-runner noise)",
+        help="small sweep + relaxed floor (CI smoke: catches a fall back to "
+        "the per-mix loop, tolerates shared-runner noise)",
     )
     args = parser.parse_args()
     result = run_guard(quick=args.quick)

@@ -1,22 +1,23 @@
-"""Benchmark guard: the chunked interleaving kernel versus the reference loops.
+"""Benchmark guard: the chunked interleaving walk versus its per-access oracle.
 
 The detailed multi-core simulator interleaves per-core LLC traces into
-one shared-LLC access stream.  The per-access reference kernels
-(``heap``, ``scan``) walk that stream one element at a time in Python;
-the default ``chunked`` kernel speculates whole windows — it proposes a
+one shared-LLC access stream.  The test oracle
+:class:`repro.oracles.ReferenceMultiCoreSimulator` walks that stream
+one element at a time in Python, from a binary heap of ready times;
+:class:`MultiCoreSimulator` speculates whole windows — it proposes a
 global order from estimated ready times, replays it against the batched
 per-set LRU, and commits the prefix whose exact ready times confirm the
-proposal, rolling the rest back.  This guard asserts that all three
-kernels stay bit-identical (including on a duplicated-program mix,
-where ready-time ties are the common case) *and* that the chunked
-kernel keeps its speedup — so a silent fallback to the reference path
-(or a regression that slows the kernel to parity) fails the build.
+proposal, rolling the rest back.  This guard asserts that the two stay
+bit-identical (including on a duplicated-program mix, where ready-time
+ties are the common case) *and* that the chunked walk keeps its
+speedup — so a regression that slows it to the per-access path's
+speed fails the build.
 
-Timing methodology: the kernels are measured *interleaved* (each round
-times every kernel back to back) and scored by per-kernel minimum
+Timing methodology: the two are measured *interleaved* (each round
+times both back to back) and scored by per-implementation minimum
 across rounds.  Host frequency drift on shared runners can swing
 repeated runs of identical code by >10%; interleaving keeps both
-kernels inside the same drift envelope so the ratio stays meaningful.
+inside the same drift envelope so the ratio stays meaningful.
 
 Run standalone (CI uses ``--quick``)::
 
@@ -29,6 +30,7 @@ import argparse
 import time
 
 from repro.config import baseline_machine, scaled
+from repro.oracles import ReferenceMultiCoreSimulator
 from repro.profiling import ProfileStore
 from repro.simulators import MultiCoreSimulator
 from repro.workloads import small_suite
@@ -42,7 +44,7 @@ SCALE = 16
 DEFAULT_INSTRUCTIONS = 800_000
 #: Speedup floor at the default scale (measured 2.1-2.8x across idle
 #: hosts; the margin absorbs machine noise while still catching a
-#: fallback, which would measure ~1x).
+#: regression to the per-access path, which measures ~1x).
 DEFAULT_FLOOR = 1.7
 #: Quick mode: shorter traces for CI smoke.  Fixed numpy overheads eat
 #: into the ratio at this size, so the floor only needs to prove the
@@ -57,23 +59,18 @@ DUP_MIX = ("gamess",) * 4
 
 
 def _assert_identical(machine, traces):
-    """All kernels must produce frozen-dataclass-equal run results."""
-    results = {
-        kernel: MultiCoreSimulator(machine, kernel=kernel).run(traces)
-        for kernel in ("heap", "scan", "chunked")
-    }
-    for kernel, result in results.items():
-        assert result == results["heap"], (
-            f"kernel {kernel!r} diverged from the heap reference"
-        )
+    """Walk and oracle must produce frozen-dataclass-equal run results."""
+    assert MultiCoreSimulator(machine).run(traces) == ReferenceMultiCoreSimulator(
+        machine
+    ).run(traces), "the chunked walk diverged from the per-access oracle"
 
 
 def measure_kernels(
     num_instructions: int = DEFAULT_INSTRUCTIONS, rounds: int = 3
 ) -> dict:
-    """Time the kernels over one 4-core simulation; returns seconds + speedup.
+    """Time walk and oracle over one 4-core simulation; returns seconds + speedup.
 
-    Interleaved best-of-``rounds`` per kernel (the minimum is the least
+    Interleaved best-of-``rounds`` per implementation (the minimum is the least
     noisy estimator of the true cost), with bit-identity asserted on
     both the timed mix and a duplicated-program mix first.
     """
@@ -89,8 +86,8 @@ def measure_kernels(
     _assert_identical(machine, dup_traces)
 
     simulators = {
-        kernel: MultiCoreSimulator(machine, kernel=kernel)
-        for kernel in ("chunked", "heap")
+        "chunked": MultiCoreSimulator(machine),
+        "heap": ReferenceMultiCoreSimulator(machine),
     }
     timings = {kernel: [] for kernel in simulators}
     for _ in range(rounds):
@@ -126,9 +123,8 @@ def run_guard(quick: bool = False) -> dict:
         f"-> speedup {result['speedup']:.1f}x (floor {floor:.1f}x)"
     )
     assert result["speedup"] >= floor, (
-        f"chunked interleaving kernel regressed (or silently fell back "
-        f"to the reference path): {result['speedup']:.2f}x < required "
-        f"{floor:.1f}x"
+        f"chunked interleaving regressed towards the per-access oracle's "
+        f"speed: {result['speedup']:.2f}x < required {floor:.1f}x"
     )
     return result
 
@@ -143,8 +139,8 @@ def main() -> None:
     parser.add_argument(
         "--quick",
         action="store_true",
-        help="short traces + relaxed floor (CI smoke: catches a fallback, "
-        "tolerates shared-runner noise)",
+        help="short traces + relaxed floor (CI smoke: catches a regression "
+        "to per-access speed, tolerates shared-runner noise)",
     )
     args = parser.parse_args()
     result = run_guard(quick=args.quick)

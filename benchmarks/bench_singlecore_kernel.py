@@ -1,14 +1,14 @@
-"""Benchmark guard: the vectorized replay kernel versus the reference loop.
+"""Benchmark guard: the vectorized replay versus its per-access oracle.
 
 The single-core profiler is the repo's hottest path: every profile of
-every (benchmark, machine) pair replays a full memory trace.  The
-default ``"vectorized"`` kernel resolves all cache levels with batched
-per-set stack distances (a handful of array passes); the
-``"reference"`` kernel walks every access through stateful cache
-objects.  This guard asserts, on the default experiment trace scale,
-that the two kernels stay bit-identical *and* that the vectorized
-kernel keeps its speedup — so a silent fallback to the reference path
-(or a regression that slows the kernel to parity) fails the build.
+every (benchmark, machine) pair replays a full memory trace.
+:class:`SingleCoreSimulator` resolves all cache levels with batched
+per-set stack distances (a handful of array passes); the test oracle
+:class:`repro.oracles.ReferenceSingleCoreSimulator` walks every access
+through stateful cache objects.  This guard asserts, on the default
+experiment trace scale, that the two stay bit-identical *and* that the
+vectorized replay keeps its speedup — so a regression to the
+per-access path's speed fails the build.
 
 Run standalone (CI uses ``--quick``)::
 
@@ -23,12 +23,13 @@ import time
 import numpy as np
 
 from repro.config import baseline_machine, scaled
+from repro.oracles import ReferenceSingleCoreSimulator
 from repro.simulators.single_core import SingleCoreSimulator
 from repro.workloads import spec_cpu2006_like_suite
 from repro.workloads.generator import TraceGenerator
 
 #: Heterogeneous slice of the suite: cache-friendly, LLC-sensitive and
-#: streaming behaviour all exercise different kernel paths.
+#: streaming behaviour all exercise different replay paths.
 BENCHMARKS = ("gamess", "hmmer", "soplex", "mcf", "libquantum")
 
 #: Default experiment trace scale (matches ExperimentConfig).
@@ -38,7 +39,7 @@ DEFAULT_INSTRUCTIONS = 200_000
 DEFAULT_FLOOR = 5.0
 #: Quick mode: small traces for CI smoke; at this size numpy fixed
 #: overheads eat into the ratio, so the floor only needs to prove the
-#: vectorized path is live (a fallback would measure ~1x).
+#: vectorized path is intact (the per-access path measures ~1x).
 QUICK_INSTRUCTIONS = 50_000
 QUICK_FLOOR = 2.0
 
@@ -62,36 +63,34 @@ def _assert_identical(vectorized, reference):
 
 
 def measure_kernels(num_instructions: int = DEFAULT_INSTRUCTIONS, rounds: int = 3) -> dict:
-    """Time both kernels over the benchmark slice; returns seconds + speedup.
+    """Time simulator and oracle over the benchmark slice; returns seconds + speedup.
 
-    Uses best-of-``rounds`` per kernel (standard practice for benchmark
-    guards: the minimum is the least noisy estimator of the true cost)
-    and asserts bit-identical results along the way.
+    Uses best-of-``rounds`` per implementation (standard practice for
+    benchmark guards: the minimum is the least noisy estimator of the
+    true cost) and asserts bit-identical results along the way.
     """
     suite = spec_cpu2006_like_suite()
     generator = TraceGenerator(num_instructions=num_instructions, seed=0)
     machine = scaled(baseline_machine(num_cores=4, llc_config=1), 16)
     simulator = SingleCoreSimulator(machine, interval_instructions=4_000)
+    oracle = ReferenceSingleCoreSimulator(machine, interval_instructions=4_000)
     traces = [generator.generate(suite[name]) for name in BENCHMARKS]
     simulator.run(traces[0])  # warm-up (imports, allocator)
 
-    def best_of(kernel: str) -> float:
+    def best_of(implementation: SingleCoreSimulator) -> float:
         timings = []
         for _ in range(rounds):
             start = time.perf_counter()
             for trace in traces:
-                simulator.run(trace, kernel=kernel)
+                implementation.run(trace)
             timings.append(time.perf_counter() - start)
         return min(timings)
 
     for trace in traces:
-        _assert_identical(
-            simulator.run(trace, kernel="vectorized"),
-            simulator.run(trace, kernel="reference"),
-        )
+        _assert_identical(simulator.run(trace), oracle.run(trace))
 
-    vectorized_seconds = best_of("vectorized")
-    reference_seconds = best_of("reference")
+    vectorized_seconds = best_of(simulator)
+    reference_seconds = best_of(oracle)
     return {
         "num_instructions": num_instructions,
         "vectorized_seconds": vectorized_seconds,
@@ -113,8 +112,8 @@ def run_guard(quick: bool = False) -> dict:
         f"-> speedup {result['speedup']:.1f}x (floor {floor:.1f}x)"
     )
     assert result["speedup"] >= floor, (
-        f"vectorized kernel regressed (or silently fell back to the reference "
-        f"path): {result['speedup']:.2f}x < required {floor:.1f}x"
+        f"vectorized replay regressed towards the per-access oracle's speed: "
+        f"{result['speedup']:.2f}x < required {floor:.1f}x"
     )
     return result
 
@@ -129,8 +128,8 @@ def main() -> None:
     parser.add_argument(
         "--quick",
         action="store_true",
-        help="small traces + relaxed floor (CI smoke: catches a fallback, "
-        "tolerates shared-runner noise)",
+        help="small traces + relaxed floor (CI smoke: catches a regression "
+        "to per-access speed, tolerates shared-runner noise)",
     )
     args = parser.parse_args()
     result = run_guard(quick=args.quick)

@@ -1,16 +1,16 @@
-"""Benchmark guard: the vectorized trace-generation kernel vs the reference loop.
+"""Benchmark guard: the vectorized trace generator vs its per-access oracle.
 
 Trace generation feeds every profile of every (benchmark, machine)
 pair, and ROADMAP named it the largest remaining per-access Python
-cost.  The default ``"vectorized"`` kernel draws reuse depths, access
-positions and base-cycle gaps as whole numpy arrays and resolves
-LRU-stack depths to addresses with a tight O(depth) move-to-front
-kernel; the ``"reference"`` kernel walks every access through the
-original MRU-first list (an O(footprint) memmove per access).  This
-guard asserts, on the default experiment trace scale, that the two
-kernels stay bit-identical *and* that the vectorized kernel keeps its
-speedup — so a silent fallback to the reference path (or a regression
-that slows the kernel to parity) fails the build.
+cost.  :class:`TraceGenerator` draws reuse depths, access positions and
+base-cycle gaps as whole numpy arrays and resolves LRU-stack depths to
+addresses with a tight O(depth) move-to-front kernel; the test oracle
+:class:`repro.oracles.ReferenceTraceGenerator` walks every access
+through the original MRU-first list (an O(footprint) memmove per
+access).  This guard asserts, on the default experiment trace scale,
+that the two stay bit-identical *and* that the vectorized generator
+keeps its speedup — so a regression to the per-access path's speed
+fails the build.
 
 Run standalone (CI uses ``--quick``)::
 
@@ -24,6 +24,7 @@ import time
 
 import numpy as np
 
+from repro.oracles import ReferenceTraceGenerator
 from repro.workloads import spec_cpu2006_like_suite
 from repro.workloads.generator import TraceGenerator
 
@@ -40,7 +41,7 @@ DEFAULT_INSTRUCTIONS = 200_000
 DEFAULT_FLOOR = 5.0
 #: Quick mode: small traces for CI smoke; at this size fixed overheads
 #: eat into the ratio, so the floor only needs to prove the vectorized
-#: path is live (a fallback would measure ~1x).
+#: path is intact (the per-access path measures ~1x).
 QUICK_INSTRUCTIONS = 50_000
 QUICK_FLOOR = 2.0
 
@@ -55,34 +56,32 @@ def _assert_identical(vectorized, reference):
 
 
 def measure_kernels(num_instructions: int = DEFAULT_INSTRUCTIONS, rounds: int = 3) -> dict:
-    """Time both kernels over the benchmark slice; returns seconds + speedup.
+    """Time generator and oracle over the benchmark slice; returns seconds + speedup.
 
-    Uses best-of-``rounds`` per kernel (standard practice for benchmark
-    guards: the minimum is the least noisy estimator of the true cost)
-    and asserts bit-identical traces along the way.
+    Uses best-of-``rounds`` per implementation (standard practice for
+    benchmark guards: the minimum is the least noisy estimator of the
+    true cost) and asserts bit-identical traces along the way.
     """
     suite = spec_cpu2006_like_suite()
     generator = TraceGenerator(num_instructions=num_instructions, seed=0)
+    oracle = ReferenceTraceGenerator(num_instructions=num_instructions, seed=0)
     specs = [suite[name] for name in BENCHMARKS]
     generator.generate(specs[0])  # warm-up (imports, allocator)
 
-    def best_of(kernel: str) -> float:
+    def best_of(implementation: TraceGenerator) -> float:
         timings = []
         for _ in range(rounds):
             start = time.perf_counter()
             for spec in specs:
-                generator.generate(spec, kernel=kernel)
+                implementation.generate(spec)
             timings.append(time.perf_counter() - start)
         return min(timings)
 
     for spec in specs:
-        _assert_identical(
-            generator.generate(spec, kernel="vectorized"),
-            generator.generate(spec, kernel="reference"),
-        )
+        _assert_identical(generator.generate(spec), oracle.generate(spec))
 
-    vectorized_seconds = best_of("vectorized")
-    reference_seconds = best_of("reference")
+    vectorized_seconds = best_of(generator)
+    reference_seconds = best_of(oracle)
     return {
         "num_instructions": num_instructions,
         "vectorized_seconds": vectorized_seconds,
@@ -104,8 +103,8 @@ def run_guard(quick: bool = False) -> dict:
         f"-> speedup {result['speedup']:.1f}x (floor {floor:.1f}x)"
     )
     assert result["speedup"] >= floor, (
-        f"vectorized generation kernel regressed (or silently fell back to "
-        f"the reference path): {result['speedup']:.2f}x < required {floor:.1f}x"
+        f"vectorized trace generation regressed towards the per-access "
+        f"oracle's speed: {result['speedup']:.2f}x < required {floor:.1f}x"
     )
     return result
 
@@ -120,8 +119,8 @@ def main() -> None:
     parser.add_argument(
         "--quick",
         action="store_true",
-        help="small traces + relaxed floor (CI smoke: catches a fallback, "
-        "tolerates shared-runner noise)",
+        help="small traces + relaxed floor (CI smoke: catches a regression "
+        "to per-access speed, tolerates shared-runner noise)",
     )
     args = parser.parse_args()
     result = run_guard(quick=args.quick)

@@ -1,11 +1,13 @@
-"""Cache substrate: set-associative caches, hierarchies and stack-distance profiling.
+"""Cache substrate: set-associative caches and stack-distance profiling.
 
 This package provides the building blocks that both the detailed
 simulators (:mod:`repro.simulators`) and the single-core profiler use:
 
 * :class:`SetAssociativeCache` — a set-associative cache with pluggable
   replacement policy (LRU by default, as in the paper's Table 1),
-* :class:`CacheHierarchy` — private L1/L2 plus the last-level cache,
+* :func:`replay_private_levels` and :func:`stack_distances` — the
+  batched replay of a whole trace through the private levels and the
+  LLC that the single-core simulator runs on,
 * :class:`StackDistanceCounters` and :class:`StackDistanceProfiler` —
   the per-set LRU stack-distance counters (SDCs) of Mattson et al. that
   the paper collects per 20M-instruction interval and feeds to the
@@ -20,14 +22,12 @@ from repro.caches.replacement import (
     make_policy,
 )
 from repro.caches.set_associative import AccessOutcome, SetAssociativeCache
-from repro.caches.hierarchy import CacheHierarchy, HierarchyAccess
 from repro.caches.stack_distance import (
     StackDistanceCounters,
     StackDistanceProfiler,
 )
 from repro.caches.vectorized import (
     lru_hit_mask,
-    replay_hierarchy,
     replay_private_levels,
     stack_distances,
 )
@@ -40,12 +40,9 @@ __all__ = [
     "make_policy",
     "AccessOutcome",
     "SetAssociativeCache",
-    "CacheHierarchy",
-    "HierarchyAccess",
     "StackDistanceCounters",
     "StackDistanceProfiler",
     "lru_hit_mask",
-    "replay_hierarchy",
     "replay_private_levels",
     "stack_distances",
 ]

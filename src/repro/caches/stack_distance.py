@@ -34,9 +34,9 @@ def distance_slots(distances: np.ndarray, associativity: int) -> np.ndarray:
     ``C>A`` slot ``A``.  Shared by
     :meth:`StackDistanceCounters.from_distances` and the simulator's
     per-interval histograms; :meth:`StackDistanceCounters.record`
-    applies the same rule inline for scalars (it sits on the reference
-    kernel's per-access path), with the unit suite pinning the two
-    together.
+    applies the same rule inline for scalars (it sits on the per-access
+    path of the :mod:`repro.oracles` test oracles), with the unit suite
+    pinning the two together.
     """
     if associativity <= 0:
         raise StackDistanceError(f"associativity must be positive, got {associativity}")

@@ -284,37 +284,6 @@ def lru_hit_mask(distances: np.ndarray, associativity: int) -> np.ndarray:
     return (distances > 0) & (distances <= associativity)
 
 
-def replay_hierarchy(
-    lines: np.ndarray, machine: MachineConfig
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Replay an access stream through the machine's cache hierarchy.
-
-    Filters the stream level by level exactly as the stateful
-    :class:`~repro.caches.hierarchy.CacheHierarchy` does — each level
-    only sees the accesses that missed every level above it — but
-    resolves each level with one batched stack-distance computation.
-
-    Returns
-    -------
-    served_level:
-        ``int64`` array aligned with ``lines``; ``0..P-1`` for a hit in
-        that private level, ``P`` for an LLC hit and ``P+1`` for an LLC
-        miss (memory), where ``P = len(machine.private_levels)``.
-    llc_index:
-        Indices (into ``lines``) of the accesses that reached the LLC,
-        ascending — the filtered LLC stream.
-    llc_distances:
-        Per-set LLC stack distance of each filtered access (0 = cold),
-        aligned with ``llc_index``.
-    """
-    served_level, surviving, stream = replay_private_levels(lines, machine)
-    num_private = len(machine.private_levels)
-    llc_distances = stack_distances(stream, machine.llc.num_sets)
-    llc_hits = lru_hit_mask(llc_distances, machine.llc.associativity)
-    served_level[surviving[llc_hits]] = num_private
-    return served_level, surviving, llc_distances
-
-
 def replay_private_levels(
     lines: np.ndarray, machine: MachineConfig
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -323,9 +292,10 @@ def replay_private_levels(
     Returns ``(served_level, surviving, stream)``: the served-level
     array with every access that missed all private levels still marked
     ``P + 1``, the indices of those surviving accesses, and their line
-    addresses.  :func:`replay_hierarchy` resolves the LLC on top; the
-    perfect-LLC run stops here (it never needs LLC stack distances —
-    every surviving access hits by definition).
+    addresses.  The single-core simulator resolves the LLC on top with
+    :func:`stack_distances`; the perfect-LLC run stops here (it never
+    needs LLC stack distances — every surviving access hits by
+    definition).
     """
     lines = np.asarray(lines, dtype=np.int64)
     n = len(lines)

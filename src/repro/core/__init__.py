@@ -11,13 +11,12 @@ The model is the iterative process of the paper's Figure 2; see
 """
 
 from repro.core.batched import solve_batch
-from repro.core.mppm import MPPM, MPPM_KERNELS, MPPMConfig
+from repro.core.mppm import MPPM, MPPMConfig
 from repro.core.result import IterationRecord, MixPrediction, ProgramPrediction
 from repro.core.baselines import NoContentionPredictor, OneShotContentionPredictor
 
 __all__ = [
     "MPPM",
-    "MPPM_KERNELS",
     "MPPMConfig",
     "solve_batch",
     "MixPrediction",

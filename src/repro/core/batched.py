@@ -1,6 +1,6 @@
 """The batched MPPM kernel: one mix-major numpy fixed point over many mixes.
 
-The reference kernel in :mod:`repro.core.mppm` runs one Python loop per
+The per-mix loop in :mod:`repro.core.mppm` runs one Python loop per
 mix; at ``workload_space`` scale that is thousands of interpreter
 round-trips over the same handful of float operations.  This module
 solves the Figure-2 fixed point for an entire batch of mixes
@@ -21,15 +21,15 @@ vectorized iteration step
 A convergence mask retires mixes in place, so ragged iteration counts
 cost nothing: retired rows simply stop being part of the live slice.
 
-Bit-identity with the reference loop is by construction, not by
+Bit-identity with the per-mix loop is by construction, not by
 accident: within each mix the float operations are the same ops in the
 same order (the window table is shared with the scalar
 ``SingleCoreProfile.window``, the batched contention models replicate
 the scalar accumulation order, and numpy elementwise arithmetic is IEEE
-double arithmetic), so the batched kernel's outputs match the reference
-kernel's bit for bit.  The equivalence matrix in
-``tests/test_core_mppm_batched.py`` and the CI guard
-``benchmarks/bench_mppm_batch.py`` both assert exactly that.
+double arithmetic), so the batched solver's outputs match the loop's
+bit for bit.  The equivalence matrix in ``tests/test_core_mppm_batched.py``
+and the CI guard ``benchmarks/bench_mppm_batch.py`` both assert exactly
+that against :class:`repro.oracles.ReferenceMPPM`.
 """
 
 from __future__ import annotations
@@ -65,7 +65,7 @@ def solve_batch(
     ``mixes`` holds one profile list per mix (one profile per core);
     mixes of different core counts are grouped and solved per uniform
     group.  Returns one :class:`MixPrediction` per input mix, in input
-    order, tagged ``kernel="batched"``.  Inputs are assumed validated
+    order.  Inputs are assumed validated
     (:meth:`repro.core.mppm.MPPM.predict_batch` checks profiles against
     the machine before calling in).
     """
@@ -85,9 +85,9 @@ def solve_batch(
 def _fallback_miss_penalty(profile: SingleCoreProfile, machine: MachineConfig) -> float:
     """Average miss penalty when a window has no isolated misses.
 
-    The same whole-trace fallback the reference kernel computes
+    The same whole-trace fallback the per-mix loop computes
     (``MPPM._fallback_miss_penalty``); it is a constant per profile, so
-    the batched kernel precomputes it once per unique profile.
+    the batched solver precomputes it once per unique profile.
     """
     total_misses = profile.total_llc_misses
     if total_misses > 0:
@@ -243,7 +243,7 @@ def _solve_uniform(
 
         # Step 7: advance the instruction pointers; retire mixes whose
         # slowest program has executed target_passes traces (or that
-        # hit the iteration cap, exactly like the reference loop).
+        # hit the iteration cap, exactly like the per-mix loop).
         position[rows] = position_live + progress
         executed[rows] = executed[rows] + progress
         iterations[rows] += 1
@@ -273,7 +273,6 @@ def _solve_uniform(
                 programs=programs,
                 iterations=int(iterations[m]),
                 converged=bool(converged[m]),
-                kernel="batched",
             )
         )
     return predictions

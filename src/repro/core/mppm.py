@@ -31,8 +31,8 @@ passes of the slowest program.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.config.machine import MachineConfig
 from repro.contention import FOAModel
@@ -45,15 +45,6 @@ from repro.workloads.mixes import WorkloadMix
 
 class MPPMError(ValueError):
     """Raised for invalid model configurations or inputs."""
-
-
-#: The available fixed-point solvers.  ``"batched"`` (the default) runs
-#: the mix-major numpy kernel in :mod:`repro.core.batched`; it solves a
-#: whole batch of mixes in one array pass and a single mix as a batch of
-#: one.  ``"reference"`` is the original per-mix Python loop, kept as
-#: executable ground truth.  The two produce bit-identical predictions
-#: by construction, so the choice is pure performance.
-MPPM_KERNELS: Tuple[str, ...] = ("batched", "reference")
 
 
 @dataclass(frozen=True)
@@ -153,13 +144,14 @@ class MPPM:
         The cache-contention model; FOA by default, as in the paper.
     config:
         Iteration parameters (see :class:`MPPMConfig`).
-    kernel:
-        Default solver kernel, one of :data:`MPPM_KERNELS`.  Both
-        kernels produce bit-identical predictions; ``"batched"`` is an
-        order of magnitude faster on bulk sweeps.  Per-call overrides
-        are accepted by every predict method.  Configurations with
-        ``store_history=True`` always run the reference loop (history
-        is per-iteration bookkeeping only the sequential kernel keeps).
+
+    Predictions come from the mix-major numpy solver in
+    :mod:`repro.core.batched`, which solves a whole batch of mixes in
+    one array pass and a single mix as a batch of one.  Configurations
+    with ``store_history=True`` run the per-mix loop instead: the
+    per-iteration history is sequential bookkeeping only that loop
+    keeps.  The two are bit-identical by construction (the test oracle
+    :class:`repro.oracles.ReferenceMPPM` forces the loop to check it).
     """
 
     def __init__(
@@ -167,59 +159,42 @@ class MPPM:
         machine: MachineConfig,
         contention_model: Optional[ContentionModel] = None,
         config: Optional[MPPMConfig] = None,
-        kernel: str = "batched",
     ) -> None:
         self.machine = machine
         self.contention_model = contention_model if contention_model is not None else FOAModel()
         self.config = config if config is not None else MPPMConfig()
-        if kernel not in MPPM_KERNELS:
-            raise MPPMError(f"unknown MPPM kernel {kernel!r}; choose from {MPPM_KERNELS}")
-        self.kernel = kernel
 
     # ------------------------------------------------------------------
     # Public API
     # ------------------------------------------------------------------
 
-    def predict(
-        self, profiles: Sequence[SingleCoreProfile], kernel: Optional[str] = None
-    ) -> MixPrediction:
+    def predict(self, profiles: Sequence[SingleCoreProfile]) -> MixPrediction:
         """Predict multi-core performance for one mix (one profile per core)."""
-        return self.predict_batch([profiles], kernel=kernel)[0]
+        return self.predict_batch([profiles])[0]
 
     def predict_batch(
-        self,
-        mixes: Sequence[Sequence[SingleCoreProfile]],
-        kernel: Optional[str] = None,
+        self, mixes: Sequence[Sequence[SingleCoreProfile]]
     ) -> List[MixPrediction]:
         """Predict every mix (one profile list per mix) in one call.
 
-        With the batched kernel the whole batch is solved by one
-        mix-major fixed-point pass (:func:`repro.core.batched.solve_batch`);
-        with the reference kernel the mixes are solved one by one.  The
-        results are bit-identical either way and are returned in input
-        order.
+        Results are returned in input order.
         """
         batches = [list(profiles) for profiles in mixes]
         for profiles in batches:
             if not profiles:
                 raise MPPMError("at least one program profile is required")
             self._check_profiles(profiles)
-        if self._resolve_kernel(kernel) == "reference":
-            return [self._predict_reference(profiles) for profiles in batches]
+        return self._solve(batches)
+
+    def _solve(self, batches: List[List[SingleCoreProfile]]) -> List[MixPrediction]:
+        """Solve validated mixes: one mix-major pass, or the per-mix loop
+        when the configuration asks for per-iteration history."""
+        if self.config.store_history:
+            return [self._predict_mix(profiles) for profiles in batches]
         return solve_batch(self.machine, self.contention_model, self.config, batches)
 
-    def _resolve_kernel(self, kernel: Optional[str]) -> str:
-        resolved = kernel if kernel is not None else self.kernel
-        if resolved not in MPPM_KERNELS:
-            raise MPPMError(f"unknown MPPM kernel {resolved!r}; choose from {MPPM_KERNELS}")
-        if resolved == "batched" and self.config.store_history:
-            # Per-iteration history is sequential bookkeeping that only
-            # the reference loop records; fall back transparently.
-            return "reference"
-        return resolved
-
-    def _predict_reference(self, profiles: Sequence[SingleCoreProfile]) -> MixPrediction:
-        """The original per-mix Python loop (ground truth for the batched kernel)."""
+    def _predict_mix(self, profiles: Sequence[SingleCoreProfile]) -> MixPrediction:
+        """The per-mix Python loop of Figure 2."""
         states = [
             _ProgramState(
                 label=self._label(profile.benchmark, core, profiles),
@@ -271,23 +246,20 @@ class MPPM:
             iterations=iterations,
             converged=converged,
             history=tuple(history),
-            kernel="reference",
         )
 
     def predict_mix(
         self,
         mix: WorkloadMix,
         profiles: Mapping[str, SingleCoreProfile],
-        kernel: Optional[str] = None,
     ) -> MixPrediction:
         """Predict performance for a :class:`WorkloadMix` given a profile library."""
-        return self.predict(self._mix_profiles(mix, profiles), kernel=kernel)
+        return self.predict(self._mix_profiles(mix, profiles))
 
     def predict_many(
         self,
         mixes: Sequence[WorkloadMix],
         profiles: Mapping[str, SingleCoreProfile],
-        kernel: Optional[str] = None,
     ) -> List[MixPrediction]:
         """Predict performance for many mixes (the bulk-evaluation use case).
 
@@ -306,7 +278,7 @@ class MPPM:
                 unique_index[key] = index
                 unique_batches.append(self._mix_profiles(mix, profiles))
             order.append(index)
-        solved = self.predict_batch(unique_batches, kernel=kernel)
+        solved = self.predict_batch(unique_batches)
         return [solved[index] for index in order]
 
     @staticmethod

@@ -50,12 +50,8 @@ class MixPrediction:
 
     ``predictor`` is the registry spec of the estimator that produced
     the prediction (``"mppm:foa"``, ``"detailed"``, …; see
-    :mod:`repro.predictors`).  ``kernel`` names the solver kernel that
-    produced it (``"batched"`` / ``"reference"`` for MPPM; ``None`` for
-    estimators without kernel variants).  Both round-trip through the
-    JSON serialisation, so cached and exported results are
-    self-describing; the kernels are bit-identical, so the field is
-    pure provenance and never part of a cache key.
+    :mod:`repro.predictors`); it round-trips through the JSON
+    serialisation, so cached and exported results are self-describing.
     """
 
     machine_name: str
@@ -64,7 +60,6 @@ class MixPrediction:
     converged: bool
     history: Tuple[IterationRecord, ...] = field(default=())
     predictor: Optional[str] = None
-    kernel: Optional[str] = None
 
     def __post_init__(self) -> None:
         if not self.programs:
@@ -113,7 +108,6 @@ class MixPrediction:
             "iterations": self.iterations,
             "converged": self.converged,
             "predictor": self.predictor,
-            "kernel": self.kernel,
             "programs": [
                 {
                     "name": program.name,
@@ -136,7 +130,12 @@ class MixPrediction:
 
     @classmethod
     def from_dict(cls, data: Dict) -> "MixPrediction":
-        """Inverse of :meth:`to_dict`."""
+        """Inverse of :meth:`to_dict`.
+
+        Payloads written by older code may carry a ``"kernel"`` key (the
+        solver that produced them); it never changed a value and is
+        ignored.
+        """
         programs = tuple(
             ProgramPrediction(
                 name=entry["name"],
@@ -158,7 +157,6 @@ class MixPrediction:
             for entry in data["history"]
         )
         predictor = data.get("predictor")
-        kernel = data.get("kernel")
         return cls(
             machine_name=data["machine_name"],
             programs=programs,
@@ -166,14 +164,12 @@ class MixPrediction:
             converged=bool(data["converged"]),
             history=history,
             predictor=str(predictor) if predictor is not None else None,
-            kernel=str(kernel) if kernel is not None else None,
         )
 
     def describe(self) -> str:
-        kernel = f", kernel={self.kernel}" if self.kernel is not None else ""
         lines = [
             f"{self.predictor or 'MPPM'} prediction on {self.machine_name} "
-            f"({self.iterations} iterations, converged={self.converged}{kernel}):"
+            f"({self.iterations} iterations, converged={self.converged}):"
         ]
         for program in self.programs:
             lines.append(

@@ -59,11 +59,10 @@ class InterpolatedPredictor:
         if machine.num_cores != mix.num_programs:
             machine = machine.with_num_cores(mix.num_programs)
         index, space = self._locate(machine)
-        kernel = self.setup.config.multicore_kernel
         if index in self.anchors:
             # Anchors are exact: the detailed run re-tagged as interp.
             run = self.setup.simulate(mix, machine)
-            return tag_prediction(prediction_from_run(run, kernel=kernel), self.spec)
+            return tag_prediction(prediction_from_run(run), self.spec)
         low, high = self.anchors
         low_machine, high_machine = space[low - 1], space[high - 1]
         low_run = self.setup.simulate(mix, low_machine)
@@ -106,7 +105,6 @@ class InterpolatedPredictor:
             iterations=0,
             converged=True,
             predictor=self.spec,
-            kernel=kernel,
         )
 
     def describe(self) -> str:

@@ -50,7 +50,6 @@ class MPPMPredictor:
             machine,
             contention_model=make_contention_model(self.contention),
             config=self.mppm_config,
-            kernel=self.setup.config.mppm_kernel,
         )
 
     def predict(self, mix: "WorkloadMix", machine: "MachineConfig") -> MixPrediction:

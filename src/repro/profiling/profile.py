@@ -105,10 +105,10 @@ class ProfileWindowTable:
     every iteration; with exclusive prefix sums of every per-interval
     counter, any window is two gathered point evaluations and a
     subtract (plus the whole-trace totals once per full wrap-around
-    pass).  Both MPPM kernels — the scalar reference loop through
+    pass).  Both MPPM solvers — the scalar per-mix loop through
     :meth:`SingleCoreProfile.window` and the batched mix-major solver —
     evaluate windows through this one table, so their float operations
-    are identical and the kernels stay bit-identical by construction.
+    are identical and the two stay bit-identical by construction.
 
     The point evaluation ``P(x)`` (cumulative counters over ``[0, x)``)
     locates the interval containing ``x`` and interpolates the partial
@@ -286,7 +286,7 @@ class SingleCoreProfile:
         window itself may span the wrap-around point.  Partial
         intervals contribute proportionally.  The aggregation goes
         through :class:`ProfileWindowTable` — the same float operations
-        the batched MPPM kernel applies to whole arrays of windows.
+        the batched MPPM solver applies to whole arrays of windows.
         """
         if num_instructions <= 0:
             raise ProfileError(f"window length must be positive, got {num_instructions}")

@@ -43,11 +43,9 @@ class ProfileStore:
 
     Parameters
     ----------
-    num_instructions, interval_instructions, seed, kernel:
+    num_instructions, interval_instructions, seed:
         Passed through to the :class:`Profiler` when a profile has to
-        be produced.  ``kernel`` selects the replay kernel
-        (``"vectorized"`` by default); both kernels yield bit-identical
-        profiles, so cached artefacts are shared between them.
+        be produced.
     cache_dir:
         Optional directory for JSON persistence of profiles.
     workload_spec:
@@ -71,13 +69,11 @@ class ProfileStore:
         interval_instructions: int = 4_000,
         seed: int = 0,
         cache_dir: Optional[Path] = None,
-        kernel: str = "vectorized",
         workload_spec: Optional[str] = None,
     ) -> None:
         self.num_instructions = num_instructions
         self.interval_instructions = interval_instructions
         self.seed = seed
-        self.kernel = kernel
         self.workload_spec = workload_spec
         self.cache_dir = Path(cache_dir) if cache_dir is not None else None
         if self.cache_dir is not None:
@@ -218,7 +214,6 @@ class ProfileStore:
                 num_instructions=self.num_instructions,
                 interval_instructions=self.interval_instructions,
                 seed=self.seed,
-                kernel=self.kernel,
             )
         return self._profilers[key]
 

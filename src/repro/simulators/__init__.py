@@ -17,22 +17,15 @@ simulator of the paper (see DESIGN.md, "Substitutions"):
 """
 
 from repro.simulators.llc_trace import LLCAccessTrace
-from repro.simulators.single_core import (
-    KERNELS,
-    SingleCoreRunResult,
-    SingleCoreSimulator,
-)
+from repro.simulators.single_core import SingleCoreRunResult, SingleCoreSimulator
 from repro.simulators.multi_core import (
-    MULTI_CORE_KERNELS,
     MultiCoreRunResult,
     MultiCoreSimulator,
     ProgramRunStats,
 )
 
 __all__ = [
-    "KERNELS",
     "LLCAccessTrace",
-    "MULTI_CORE_KERNELS",
     "SingleCoreRunResult",
     "SingleCoreSimulator",
     "MultiCoreRunResult",

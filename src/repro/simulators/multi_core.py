@@ -13,53 +13,39 @@ slowest one restarts from the beginning so that contention pressure is
 maintained, and each program's multi-core CPI is measured over its
 *first* complete pass.
 
-Three kernels produce the interleaved walk:
+The interleaved walk advances all cores in numpy chunks: each core's
+next-K access times are estimated under its expected CPI (its measured
+hit rate so far, plus the exact penalties of any accesses rolled back
+from the previous round), the K-way merge of those estimates proposes a
+global order, the proposed order is replayed against a batched per-set
+LRU (:func:`repro.caches.vectorized.stack_distances`, seeded with the
+LLC's live recency state), and the exact ready times implied by the
+replayed outcomes are re-sorted to detect order violations — only the
+provably correct prefix commits, the rest rolls back and the next round
+re-speculates from the exact times (see
+:meth:`MultiCoreSimulator._interleave`).
 
-* ``"chunked"`` (the default) advances all cores in numpy chunks: each
-  core's next-K access times are estimated under its expected CPI (its
-  measured hit rate so far, plus the exact penalties of any accesses
-  rolled back from the previous round), the K-way merge of those
-  estimates proposes a global order, the
-  proposed order is replayed against a batched per-set LRU
-  (:func:`repro.caches.vectorized.stack_distances`, seeded with the
-  LLC's live recency state), and the exact ready times implied by the
-  replayed outcomes are re-sorted to detect order violations — only
-  the provably correct prefix commits, the rest rolls back and the
-  next round re-speculates from the exact times.  Bit-identical to the
-  reference by construction (see :meth:`MultiCoreSimulator._run_chunked`).
-* ``"heap"`` keeps the per-core ready times in a binary heap — the
-  per-access reference loop, kept as ground truth.
-* ``"scan"`` is the straightforward O(num_cores) linear minimum scan,
-  retained for the ready-queue benchmark guard.
-
-All three break ready-time ties by core index and share one result
-assembly, so they are bit-identical — asserted by the equivalence
-matrix in the test suite and guarded by
+The test oracle :class:`repro.oracles.ReferenceMultiCoreSimulator`
+overrides only that walk with the per-access loop over a binary heap of
+ready times.  Both break ready-time ties by core index and share one
+result assembly, so they are bit-identical — asserted by the
+equivalence matrix in the test suite and guarded by
 ``benchmarks/bench_multicore_interleave.py``.
 """
 
 from __future__ import annotations
 
-import heapq
-import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.caches.set_associative import SetAssociativeCache
 from repro.caches.vectorized import stack_distances
 from repro.config.machine import MachineConfig
 from repro.cores.core_model import CoreTimingModel
 from repro.simulators.llc_trace import LLCAccessTrace
 
-#: The interleaving kernels ``MultiCoreSimulator`` can use.  ``heap``
-#: and ``scan`` are the per-access reference loops (binary heap vs
-#: linear minimum scan over the ready times); ``chunked`` is the
-#: vectorized merge-and-rollback walk.  All three are bit-identical.
-MULTI_CORE_KERNELS = ("chunked", "heap", "scan")
-
-#: Chunked-kernel window sizing: accesses speculated per core per round.
+#: Interleaving window sizing: accesses speculated per core per round.
 #: The window adapts between the bounds — doubling while rounds commit
 #: fully, halving when speculation rolls most of a round back.
 _MIN_CHUNK = 64
@@ -292,174 +278,25 @@ def _resident_stacks(stream: np.ndarray, num_sets: int, associativity: int) -> n
 
 
 class MultiCoreSimulator:
-    """Shared-LLC simulation of a multi-program workload mix.
+    """Shared-LRU-LLC simulation of a multi-program workload mix."""
 
-    ``kernel`` selects the interleaving walk: ``"chunked"`` (the
-    default) vectorizes it in speculative merge-and-rollback rounds;
-    ``"heap"`` and ``"scan"`` are the per-access reference loops (see
-    the module docstring).  All kernels are bit-identical.  The legacy
-    ``ready_queue`` parameter still selects between the two reference
-    loops.  The chunked kernel requires the LRU replacement policy (its
-    batched replay rests on the LRU stack property); with another
-    policy the default silently stays on the reference loop, and asking
-    for ``"chunked"`` explicitly is an error.
-    """
-
-    def __init__(
-        self,
-        machine: MachineConfig,
-        llc_policy: str = "lru",
-        kernel: Optional[str] = None,
-        ready_queue: Optional[str] = None,
-    ) -> None:
-        if ready_queue is not None:
-            if ready_queue not in ("heap", "scan"):
-                raise MultiCoreSimulationError("ready_queue must be 'heap' or 'scan'")
-            if kernel is not None and kernel != ready_queue:
-                raise MultiCoreSimulationError(
-                    f"kernel {kernel!r} contradicts ready_queue {ready_queue!r}; "
-                    "pass one or the other"
-                )
-            kernel = ready_queue
-        lru = isinstance(llc_policy, str) and llc_policy.lower() == "lru"
-        if kernel is None:
-            kernel = "chunked" if lru else "heap"
-        if kernel not in MULTI_CORE_KERNELS:
-            raise MultiCoreSimulationError(
-                f"kernel must be one of {MULTI_CORE_KERNELS}, got {kernel!r}"
-            )
-        if kernel == "chunked" and not lru:
-            raise MultiCoreSimulationError(
-                "the chunked kernel requires the LRU replacement policy; "
-                "use kernel='heap' or 'scan' for other policies"
-            )
+    def __init__(self, machine: MachineConfig) -> None:
         self.machine = machine
-        self.llc_policy = llc_policy
-        self.kernel = kernel
 
-    def run(
-        self, llc_traces: Sequence[LLCAccessTrace], kernel: Optional[str] = None
-    ) -> MultiCoreRunResult:
-        """Simulate one workload mix (one LLC trace per core).
-
-        ``kernel`` overrides the simulator's interleaving kernel for
-        this run only.
-        """
-        machine = self.machine
-        if len(llc_traces) != machine.num_cores:
+    def run(self, llc_traces: Sequence[LLCAccessTrace]) -> MultiCoreRunResult:
+        """Simulate one workload mix (one LLC trace per core)."""
+        if len(llc_traces) != self.machine.num_cores:
             raise MultiCoreSimulationError(
-                f"machine has {machine.num_cores} cores but {len(llc_traces)} programs were given"
+                f"machine has {self.machine.num_cores} cores but "
+                f"{len(llc_traces)} programs were given"
             )
-        if kernel is None:
-            kernel = self.kernel
-        elif kernel not in MULTI_CORE_KERNELS:
-            raise MultiCoreSimulationError(
-                f"kernel must be one of {MULTI_CORE_KERNELS}, got {kernel!r}"
-            )
-        if kernel == "chunked":
-            return self._run_chunked(llc_traces)
-        return self._run_reference(llc_traces, use_heap=kernel == "heap")
+        return self._interleave(llc_traces)
 
     # ------------------------------------------------------------------
-    # Reference kernels: one access at a time
+    # The interleaved walk: speculative vectorized merge with rollback
     # ------------------------------------------------------------------
 
-    def _run_reference(
-        self, llc_traces: Sequence[LLCAccessTrace], use_heap: bool
-    ) -> MultiCoreRunResult:
-        machine = self.machine
-        shared_llc = SetAssociativeCache(machine.llc, policy=self.llc_policy)
-        num_cores = machine.num_cores
-
-        core_models = [CoreTimingModel(machine, trace.spec) for trace in llc_traces]
-        hit_penalty = [model.llc_hit_penalty for model in core_models]
-        miss_penalty = [model.memory_penalty for model in core_models]
-
-        # Per-core mutable state.
-        index = [0] * num_cores
-        cycle = [0.0] * num_cores
-        first_pass_cycles: List[Optional[float]] = [None] * num_cores
-        passes = [0] * num_cores
-        accesses_first = [0] * num_cores
-        hits_first = [0] * num_cores
-        misses_first = [0] * num_cores
-        total_accesses = 0
-        total_misses = 0
-
-        gaps = [trace.upstream_cycle_gap for trace in llc_traces]
-        lines = [trace.line for trace in llc_traces]
-        lengths = [trace.num_llc_accesses for trace in llc_traces]
-        tails = [trace.tail_cycles for trace in llc_traces]
-
-        unfinished = num_cores
-        if use_heap:
-            # (ready time, core): the tuple ordering reproduces the
-            # scan's tie-break by lowest core index.
-            ready_heap = [
-                (cycle[core] + gaps[core][0], core) for core in range(num_cores)
-            ]
-            heapq.heapify(ready_heap)
-
-        # Interleave LLC accesses in global time order: repeatedly pick the
-        # core whose next LLC access is ready earliest.
-        while unfinished:
-            if use_heap:
-                best_ready, core = heapq.heappop(ready_heap)
-            else:
-                core = -1
-                best_ready = math.inf
-                for candidate in range(num_cores):
-                    ready = cycle[candidate] + gaps[candidate][index[candidate]]
-                    if ready < best_ready:
-                        best_ready = ready
-                        core = candidate
-
-            in_first_pass = first_pass_cycles[core] is None
-            line = int(lines[core][index[core]]) + core * _CORE_ADDRESS_OFFSET
-            hit = shared_llc.access(line).hit
-            total_accesses += 1
-            if in_first_pass:
-                accesses_first[core] += 1
-            if hit:
-                penalty = hit_penalty[core]
-                if in_first_pass:
-                    hits_first[core] += 1
-            else:
-                penalty = miss_penalty[core]
-                total_misses += 1
-                if in_first_pass:
-                    misses_first[core] += 1
-            cycle[core] = best_ready + penalty
-
-            index[core] += 1
-            if index[core] >= lengths[core]:
-                # End of the trace: account for the post-LLC tail, then
-                # restart the program (FAME re-iteration).
-                cycle[core] += tails[core]
-                passes[core] += 1
-                index[core] = 0
-                if in_first_pass:
-                    first_pass_cycles[core] = cycle[core]
-                    unfinished -= 1
-            if use_heap and unfinished:
-                heapq.heappush(ready_heap, (cycle[core] + gaps[core][index[core]], core))
-
-        return self._assemble(
-            llc_traces,
-            first_pass_cycles,
-            passes,
-            accesses_first,
-            hits_first,
-            misses_first,
-            total_accesses,
-            total_misses,
-        )
-
-    # ------------------------------------------------------------------
-    # Chunked kernel: speculative vectorized merge with rollback
-    # ------------------------------------------------------------------
-
-    def _run_chunked(self, llc_traces: Sequence[LLCAccessTrace]) -> MultiCoreRunResult:
+    def _interleave(self, llc_traces: Sequence[LLCAccessTrace]) -> MultiCoreRunResult:
         """Advance all cores in numpy chunks; commit only validated prefixes.
 
         Each round takes a window of up to K next accesses per core

@@ -25,40 +25,28 @@ earlier: profiling one benchmark on several LLC configurations that
 share the private levels (the six Table 2 machines) generates and
 filters its trace once.
 
-Two replay kernels produce the per-access outcomes of each stage:
-
-* ``"vectorized"`` (the default) resolves every cache level with
-  batched per-set stack distances (:mod:`repro.caches.vectorized`) —
-  a handful of array passes over the whole trace, exploiting that an
-  access hits an A-way LRU cache iff its stack distance is at most A;
-* ``"reference"`` walks every access through stateful
-  :class:`~repro.caches.set_associative.SetAssociativeCache` /
-  :class:`~repro.caches.stack_distance.StackDistanceProfiler` objects,
-  one at a time — the direct transcription of what profiling hardware
-  would observe, kept as the ground truth the fast kernel is tested
-  against.
-
-Both kernels emit the same outcome arrays (which private level served
-each access and the filtered LLC stream; then the LLC hit mask and
-stack distances) and share both assembly routines for all cycle
-accounting, so their :class:`SingleCoreRunResult`\\ s are
-bit-identical — asserted by the equivalence suite and guarded by
-``benchmarks/bench_singlecore_kernel``.
+Every cache level is resolved with batched per-set stack distances
+(:mod:`repro.caches.vectorized`) — a handful of array passes over the
+whole trace, exploiting that an access hits an A-way LRU cache iff its
+stack distance is at most A.  The per-access outcomes of each stage
+come from one protected hook per stage
+(:meth:`SingleCoreSimulator._private_outcomes` and
+:meth:`SingleCoreSimulator._llc_outcomes`); everything else — all
+cycle accounting — is shared assembly.  The test oracle
+:class:`repro.oracles.ReferenceSingleCoreSimulator` overrides only the
+two hooks with per-access walks through stateful cache objects, so its
+results are bit-identical by construction — asserted by the
+equivalence suite and guarded by ``benchmarks/bench_singlecore_kernel.py``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple, Union
+from typing import List, Tuple, Union
 
 import numpy as np
 
-from repro.caches.set_associative import SetAssociativeCache
-from repro.caches.stack_distance import (
-    StackDistanceCounters,
-    StackDistanceProfiler,
-    distance_slots,
-)
+from repro.caches.stack_distance import StackDistanceCounters, distance_slots
 from repro.caches.vectorized import lru_hit_mask, replay_private_levels, stack_distances
 from repro.config.cache_config import CacheConfig
 from repro.config.machine import MachineConfig
@@ -67,9 +55,6 @@ from repro.cores.cpi_stack import CPIStack
 from repro.simulators.llc_trace import LLCAccessTrace
 from repro.workloads.benchmark import BenchmarkSpec
 from repro.workloads.trace import MemoryTrace
-
-#: The replay kernels ``SingleCoreSimulator`` can use.
-KERNELS = ("vectorized", "reference")
 
 
 @dataclass(frozen=True)
@@ -193,68 +178,34 @@ class SingleCoreSimulator:
         Profiling interval length in dynamic instructions (the paper
         uses 20M out of 1B; the default of 4,000 out of 200,000 keeps
         the same 50-interval structure at our trace scale).
-    kernel:
-        Replay kernel: ``"vectorized"`` (default, batched stack
-        distances) or ``"reference"`` (per-access simulation).  The two
-        produce bit-identical results; the reference kernel exists as
-        ground truth and for non-LRU what-if studies.
     """
 
-    def __init__(
-        self,
-        machine: MachineConfig,
-        interval_instructions: int = 4_000,
-        kernel: str = "vectorized",
-    ) -> None:
+    def __init__(self, machine: MachineConfig, interval_instructions: int = 4_000) -> None:
         if interval_instructions <= 0:
             raise ValueError("interval_instructions must be positive")
         self.machine = machine
         self.interval_instructions = interval_instructions
-        self.kernel = self._validate_kernel(kernel)
 
-    @staticmethod
-    def _validate_kernel(kernel: str) -> str:
-        if kernel not in KERNELS:
-            raise ValueError(f"kernel must be one of {KERNELS}, got {kernel!r}")
-        return kernel
-
-
-    def run(
-        self, trace: Union[MemoryTrace, PrivateMissStream], kernel: Optional[str] = None
-    ) -> SingleCoreRunResult:
+    def run(self, trace: Union[MemoryTrace, PrivateMissStream]) -> SingleCoreRunResult:
         """Simulate ``trace`` in isolation and collect the profile data.
 
         ``trace`` is either a memory trace or the miss stream
         :meth:`filter_private` made of it on a machine with the same
-        private levels (any LLC); the result is the same.  ``kernel``
-        overrides the simulator's default replay kernel for this run
-        only.
+        private levels (any LLC); the result is the same.
         """
-        kernel = self.kernel if kernel is None else self._validate_kernel(kernel)
         if isinstance(trace, PrivateMissStream):
             stream = self._check_stream(trace)
         else:
-            stream = self.filter_private(trace, kernel)
-        llc = self.machine.llc
-        if kernel == "vectorized":
-            llc_distances = stack_distances(stream.line, llc.num_sets)
-            llc_hit = lru_hit_mask(llc_distances, llc.associativity)
-        else:
-            llc_hit, llc_distances = self._reference_llc(stream)
+            stream = self.filter_private(trace)
+        llc_hit, llc_distances = self._llc_outcomes(stream)
         return self._resolve_llc(stream, llc_hit, llc_distances)
 
-    def filter_private(
-        self, trace: MemoryTrace, kernel: Optional[str] = None
-    ) -> PrivateMissStream:
+    def filter_private(self, trace: MemoryTrace) -> PrivateMissStream:
         """The LLC-independent stage: filter ``trace`` through the private levels."""
-        kernel = self.kernel if kernel is None else self._validate_kernel(kernel)
-        if kernel == "vectorized":
-            served_level, llc_index, _ = replay_private_levels(trace.access_line, self.machine)
-        else:
-            served_level, llc_index = self._reference_private(trace)
+        served_level, llc_index = self._private_outcomes(trace)
         return self._miss_stream(trace, served_level, llc_index)
 
-    def run_with_perfect_llc(self, trace: MemoryTrace, kernel: Optional[str] = None) -> float:
+    def run_with_perfect_llc(self, trace: MemoryTrace) -> float:
         """CPI of a run where every LLC access hits (the paper's perfect-LLC run).
 
         The paper describes two ways of obtaining the memory CPI; the
@@ -264,7 +215,7 @@ class SingleCoreSimulator:
         access that reaches the perfect LLC hits, so only the private
         levels are replayed.
         """
-        stream = self.filter_private(trace, kernel)
+        stream = self.filter_private(trace)
         llc_hit_penalty = CoreTimingModel(self.machine, trace.spec).llc_hit_penalty
         cycles = (
             float(stream.base_cycles.sum())
@@ -287,48 +238,20 @@ class SingleCoreSimulator:
         return stream
 
     # ------------------------------------------------------------------
-    # Reference kernel: per-access stateful cache simulation
+    # Per-access outcomes (the hooks the test oracle overrides)
     # ------------------------------------------------------------------
 
-    def _reference_private(self, trace: MemoryTrace) -> Tuple[np.ndarray, np.ndarray]:
-        """Walk every access through stateful private caches, one at a time.
+    def _private_outcomes(self, trace: MemoryTrace) -> Tuple[np.ndarray, np.ndarray]:
+        """The private level that served each access (``P + 1`` where none
+        did) and the ascending indices of the accesses that reach the LLC."""
+        served_level, llc_index, _ = replay_private_levels(trace.access_line, self.machine)
+        return served_level, llc_index
 
-        Produces the same outcome arrays as
-        :func:`repro.caches.vectorized.replay_private_levels`: the
-        private level that served each access (``P + 1`` where none
-        did) and the ascending indices of the accesses that reach the
-        LLC.
-        """
-        levels = [SetAssociativeCache(config) for config in self.machine.private_levels]
-        num_private = len(levels)
-        served_level = np.full(trace.num_accesses, num_private + 1, dtype=np.int64)
-        llc_index: List[int] = []
-        for i, line in enumerate(trace.access_line.tolist()):
-            for level_index, level in enumerate(levels):
-                if level.access(line).hit:
-                    served_level[i] = level_index
-                    break
-            else:
-                llc_index.append(i)
-        return served_level, np.asarray(llc_index, dtype=np.int64)
-
-    def _reference_llc(self, stream: PrivateMissStream) -> Tuple[np.ndarray, np.ndarray]:
-        """Walk the miss stream through a stateful LLC and stack-distance profiler.
-
-        Returns the LLC hit mask and per-set LLC stack distance of each
-        miss-stream access, as the vectorized kernel computes them.
-        """
-        llc_config = self.machine.llc
-        llc = SetAssociativeCache(llc_config)
-        profiler = StackDistanceProfiler(
-            num_sets=llc_config.num_sets, associativity=llc_config.associativity
-        )
-        llc_hit = np.empty(len(stream.line), dtype=bool)
-        llc_distances = np.empty(len(stream.line), dtype=np.int64)
-        for k, line in enumerate(stream.line.tolist()):
-            llc_hit[k] = llc.access(line).hit
-            llc_distances[k] = profiler.access(line)
-        return llc_hit, llc_distances
+    def _llc_outcomes(self, stream: PrivateMissStream) -> Tuple[np.ndarray, np.ndarray]:
+        """The LLC hit mask and per-set LLC stack distance of each miss-stream access."""
+        llc = self.machine.llc
+        llc_distances = stack_distances(stream.line, llc.num_sets)
+        return lru_hit_mask(llc_distances, llc.associativity), llc_distances
 
     # ------------------------------------------------------------------
     # Shared assembly: outcomes -> PrivateMissStream -> SingleCoreRunResult
@@ -340,8 +263,7 @@ class SingleCoreSimulator:
         """Turn the private-level outcomes into the LLC-independent stage.
 
         All base and private-hit cycle accounting happens here, as
-        weighted sums over the outcome arrays; both kernels route
-        through this method.
+        weighted sums over the outcome arrays.
         """
         core_model = CoreTimingModel(self.machine, trace.spec)
         num_private = len(self.machine.private_levels)
@@ -416,10 +338,10 @@ class SingleCoreSimulator:
     ) -> SingleCoreRunResult:
         """Turn the LLC outcomes of a miss stream into the run result.
 
-        LLC cycle accounting and the CPI stack happen here; both kernels
-        route through this method, which (with :meth:`_miss_stream`) is
-        what makes their results bit-identical.  The LLC trace shares
-        the stream's arrays.
+        LLC cycle accounting and the CPI stack happen here; this method
+        and :meth:`_miss_stream` are what the oracle shares, which makes
+        its results bit-identical.  The LLC trace shares the stream's
+        arrays.
         """
         machine = self.machine
         core_model = CoreTimingModel(machine, stream.spec)

@@ -17,38 +17,27 @@ memory-intensive programs — including time-varying phases.
 Everything is driven by :class:`numpy.random.Generator` seeded from the
 benchmark's ``seed``, so traces are bit-for-bit reproducible.
 
-Two generation kernels are available through the same API, mirroring
-the single-core replay kernels of :mod:`repro.simulators.single_core`:
-
-* ``"vectorized"`` (default) — reuse depths, access positions and
-  base-cycle gaps are drawn and resolved as whole numpy arrays; the
-  only irreducibly sequential step, resolving LRU-stack depths to line
-  addresses (the inverse of the stack-distance transform, i.e. a
-  move-to-front decode), runs as a tight bottom-anchored list kernel
-  whose per-access cost is O(reuse depth) instead of the reference
-  loop's O(footprint) front-insertion memmove plus per-access numpy
-  scalar arithmetic.
-* ``"reference"`` — the original per-access loop, kept as ground
-  truth.
-
-The two kernels are **bit-identical** (asserted by the equivalence
-suite and guarded by ``benchmarks/bench_trace_generation.py``), so the
-choice never changes a trace, a profile or any downstream result.
+Reuse depths, access positions and base-cycle gaps are drawn and
+resolved as whole numpy arrays; the only irreducibly sequential step,
+resolving LRU-stack depths to line addresses (the inverse of the
+stack-distance transform, i.e. a move-to-front decode), runs as a tight
+bottom-anchored list kernel whose per-access cost is O(reuse depth).
+:class:`repro.oracles.ReferenceTraceGenerator` keeps the original
+per-access loop as a test oracle; the two are **bit-identical**
+(asserted by the equivalence suite and guarded by
+``benchmarks/bench_trace_generation.py``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
 from repro.workloads.benchmark import BenchmarkSpec, WorkloadError
 from repro.workloads.trace import MemoryTrace
 
-
-#: Generation kernels selectable through ``TraceGenerator(kernel=...)``.
-GENERATOR_KERNELS = ("vectorized", "reference")
 
 #: Large odd multiplier used to give every benchmark a disjoint,
 #: set-index-scrambled address space in the shared cache.
@@ -103,40 +92,20 @@ class TraceGenerator:
         Global seed combined with each benchmark's own seed, so that a
         whole suite can be re-generated under a different seed for
         sensitivity studies.
-    kernel:
-        Generation kernel: ``"vectorized"`` (default) or
-        ``"reference"``.  Both produce bit-identical traces; the
-        reference loop is kept as ground truth.
     """
 
-    def __init__(
-        self, num_instructions: int = 200_000, seed: int = 0, kernel: str = "vectorized"
-    ) -> None:
+    def __init__(self, num_instructions: int = 200_000, seed: int = 0) -> None:
         if num_instructions <= 0:
             raise WorkloadError("num_instructions must be positive")
-        if kernel not in GENERATOR_KERNELS:
-            raise WorkloadError(
-                f"kernel must be one of {GENERATOR_KERNELS}, got {kernel!r}"
-            )
         self.num_instructions = num_instructions
         self.seed = seed
-        self.kernel = kernel
 
-    def generate(self, spec: BenchmarkSpec, kernel: Optional[str] = None) -> MemoryTrace:
-        """Generate the trace for one benchmark.
-
-        ``kernel`` overrides the generator's default for this one call
-        (used by the equivalence tests and the benchmark guard).
-        """
-        kernel = self.kernel if kernel is None else kernel
-        if kernel not in GENERATOR_KERNELS:
-            raise WorkloadError(
-                f"kernel must be one of {GENERATOR_KERNELS}, got {kernel!r}"
-            )
+    def generate(self, spec: BenchmarkSpec) -> MemoryTrace:
+        """Generate the trace for one benchmark."""
         rng = np.random.default_rng((self.seed, spec.seed, _name_digest(spec.name)))
         plans = self._plan_phases(spec)
         # Draw every phase's access positions and reuse depths up front,
-        # in phase order — both kernels consume the exact same random
+        # in phase order — the oracle consumes the exact same random
         # stream, so the drawn arrays (and thus the traces) are shared.
         phase_data: List[Tuple[_PhasePlan, np.ndarray, np.ndarray]] = [
             (plan, self._access_positions(plan), self._draw_depths(plan, rng))
@@ -145,82 +114,14 @@ class TraceGenerator:
         ]
         if not phase_data:
             raise WorkloadError(f"{spec.name}: generated trace contains no memory accesses")
-        if kernel == "reference":
-            return self._assemble_reference(spec, phase_data)
-        return self._assemble_vectorized(spec, phase_data)
+        return self._assemble(spec, phase_data)
 
     # ------------------------------------------------------------------
-    # Reference kernel: the original per-access loop (ground truth)
+    # Assembly: drawn phase data -> MemoryTrace
     # ------------------------------------------------------------------
 
-    def _assemble_reference(self, spec: BenchmarkSpec, phase_data) -> MemoryTrace:
-        address_base = _benchmark_address_base(spec.name)
-
-        access_insn_parts = []
-        access_line_parts = []
-        gap_parts = []
-
-        # The LRU stack of touched lines (most recent first) persists
-        # across phases, as it would in a real program.
-        stack: list = []
-        next_new_line = 0
-        last_insn = -1
-        last_phase_cpi = spec.base_cpi
-
-        for plan, insn_idx, depths in phase_data:
-            lines = np.empty(plan.num_accesses, dtype=np.int64)
-
-            for i, depth in enumerate(depths):
-                if depth < 0 or depth > len(stack):
-                    # Brand-new line (or a reuse deeper than the current
-                    # footprint, which degenerates to a new line).
-                    if next_new_line < spec.working_set_lines:
-                        line = next_new_line
-                        next_new_line += 1
-                        stack.insert(0, line)
-                    else:
-                        # Working set exhausted: cycle over the LRU end.
-                        line = stack[-1]
-                        del stack[-1]
-                        stack.insert(0, line)
-                else:
-                    # Reuse the line at 1-based stack depth ``depth``.
-                    line = stack[depth - 1]
-                    del stack[depth - 1]
-                    stack.insert(0, line)
-                lines[i] = line
-
-            gaps = np.empty(plan.num_accesses, dtype=np.float64)
-            prev = last_insn
-            for i, insn in enumerate(insn_idx):
-                gaps[i] = (insn - prev) * plan.base_cpi
-                prev = insn
-            last_insn = int(insn_idx[-1])
-            last_phase_cpi = plan.base_cpi
-
-            access_insn_parts.append(insn_idx)
-            access_line_parts.append(lines + address_base)
-            gap_parts.append(gaps)
-
-        access_insn = np.concatenate(access_insn_parts)
-        access_line = np.concatenate(access_line_parts)
-        base_cycle_gap = np.concatenate(gap_parts)
-        tail = (self.num_instructions - 1 - last_insn) * last_phase_cpi
-
-        return MemoryTrace(
-            spec=spec,
-            num_instructions=self.num_instructions,
-            access_insn=access_insn,
-            access_line=access_line,
-            base_cycle_gap=base_cycle_gap,
-            tail_base_cycles=float(max(tail, 0.0)),
-        )
-
-    # ------------------------------------------------------------------
-    # Vectorized kernel
-    # ------------------------------------------------------------------
-
-    def _assemble_vectorized(self, spec: BenchmarkSpec, phase_data) -> MemoryTrace:
+    def _assemble(self, spec: BenchmarkSpec, phase_data) -> MemoryTrace:
+        """Resolve the drawn depths to lines and build the trace."""
         address_base = _benchmark_address_base(spec.name)
 
         gap_parts = []
@@ -229,7 +130,7 @@ class TraceGenerator:
             # Gaps are a pure array expression: (insn - previous insn)
             # times the phase CPI, with the previous phase's final
             # access (or -1) in front.  int64 differences converted to
-            # float64 and multiplied once match the reference's scalar
+            # float64 and multiplied once match the oracle's scalar
             # arithmetic bit-for-bit.
             gaps = np.diff(insn_idx, prepend=last_insn) * plan.base_cpi
             gap_parts.append(gaps)
@@ -375,12 +276,7 @@ def _resolve_depths_to_lines(depths: np.ndarray, working_set_lines: int) -> np.n
 
 
 def generate_trace(
-    spec: BenchmarkSpec,
-    num_instructions: int = 200_000,
-    seed: int = 0,
-    kernel: str = "vectorized",
+    spec: BenchmarkSpec, num_instructions: int = 200_000, seed: int = 0
 ) -> MemoryTrace:
     """Convenience wrapper: generate one benchmark's trace."""
-    return TraceGenerator(
-        num_instructions=num_instructions, seed=seed, kernel=kernel
-    ).generate(spec)
+    return TraceGenerator(num_instructions=num_instructions, seed=seed).generate(spec)

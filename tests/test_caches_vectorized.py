@@ -3,25 +3,29 @@
 The kernel's contract is exact equivalence with the per-access
 reference machinery: :func:`stack_distances` must reproduce
 :class:`StackDistanceProfiler` access by access, and
-:func:`replay_hierarchy` must reproduce a stateful
-:class:`CacheHierarchy` walk, for any stream and any cache geometry —
-including single-set (fully associative) and direct-mapped corners.
+:func:`replay_private_levels` plus :func:`stack_distances` on the
+surviving stream must reproduce the stateful cache walk of
+:class:`repro.oracles.ReferenceSingleCoreSimulator`, for any stream and
+any cache geometry — including single-set (fully associative) and
+direct-mapped corners.
 """
 
 import numpy as np
 import pytest
 
-from repro.caches.hierarchy import CacheHierarchy
 from repro.caches.set_associative import SetAssociativeCache
 from repro.caches.stack_distance import StackDistanceCounters, StackDistanceProfiler
 from repro.caches.vectorized import (
     _count_preceding_greater,
     lru_hit_mask,
-    replay_hierarchy,
+    replay_private_levels,
     stack_distances,
 )
 from repro.config.cache_config import CacheConfig
 from repro.config.machine import MachineConfig
+from repro.oracles import ReferenceSingleCoreSimulator
+from repro.workloads.benchmark import BenchmarkSpec
+from repro.workloads.trace import MemoryTrace
 
 
 def _random_stream(rng, n, num_lines, repeat_runs=False):
@@ -125,28 +129,27 @@ class TestReplayHierarchy:
         rng = np.random.default_rng(7)
         for machine in self._machines():
             lines = _random_stream(rng, 600, 200)
-            hierarchy = CacheHierarchy(machine, include_llc=True)
-            num_private = len(machine.private_levels)
-            expected_levels = []
-            expected_llc = []
-            for line in lines:
-                outcome = hierarchy.access(int(line))
-                if not outcome.reached_llc:
-                    expected_levels.append(outcome.level_index)
-                else:
-                    expected_levels.append(
-                        num_private if outcome.llc_hit else num_private + 1
-                    )
-                    expected_llc.append(int(line))
-            served, llc_index, llc_distances = replay_hierarchy(lines, machine)
-            assert np.array_equal(served, expected_levels)
-            assert np.array_equal(lines[llc_index], expected_llc)
-            # The distances reproduce the SDC profiler on the filtered stream.
-            profiler = StackDistanceProfiler(
-                num_sets=machine.llc.num_sets, associativity=machine.llc.associativity
+            trace = MemoryTrace(
+                spec=BenchmarkSpec(name="stream"),
+                num_instructions=4 * len(lines),
+                access_insn=np.arange(0, 4 * len(lines), 4, dtype=np.int64),
+                access_line=lines,
+                base_cycle_gap=np.ones(len(lines)),
+                tail_base_cycles=0.0,
             )
-            expected_distances = [profiler.access(line) for line in expected_llc]
+            oracle = ReferenceSingleCoreSimulator(machine)
+            expected_levels, expected_index = oracle._private_outcomes(trace)
+            expected_hit, expected_distances = oracle._llc_outcomes(oracle.filter_private(trace))
+
+            served, surviving, stream = replay_private_levels(lines, machine)
+            assert np.array_equal(served, expected_levels)
+            assert np.array_equal(surviving, expected_index)
+            assert np.array_equal(stream, lines[expected_index])
+            llc_distances = stack_distances(stream, machine.llc.num_sets)
             assert np.array_equal(llc_distances, expected_distances)
+            assert np.array_equal(
+                lru_hit_mask(llc_distances, machine.llc.associativity), expected_hit
+            )
 
 
 class TestFromDistancesBatchAPI:

@@ -1,7 +1,8 @@
-"""Batched-vs-reference equivalence matrix for the MPPM solver kernels.
+"""Batched-vs-reference equivalence matrix for the MPPM solver.
 
-The batched mix-major kernel claims *bit-identical* results to the
-reference Python loop — not approximately equal.  Every assertion here
+The batched mix-major solver claims *bit-identical* results to the
+per-mix Python loop that :class:`repro.oracles.ReferenceMPPM` forces —
+not approximately equal.  Every assertion here
 is therefore exact ``==`` on floats: same predicted CPIs, same
 iteration counts, same convergence flags, for every registered
 ``mppm:*`` variant, across smoothing settings, uneven trace lengths,
@@ -13,9 +14,9 @@ import dataclasses
 import pytest
 
 from repro.contention import make_contention_model
-from repro.core import MPPM, MPPM_KERNELS, MPPMConfig
+from repro.core import MPPM, MPPMConfig
 from repro.core.mppm import MPPMError
-from repro.core.result import MixPrediction
+from repro.oracles import ReferenceMPPM
 from repro.profiling import ProfileStore
 from repro.workloads import WorkloadMix
 
@@ -34,8 +35,6 @@ VARIANTS = {
 def assert_bit_identical(reference, batched):
     assert len(reference) == len(batched)
     for ref, bat in zip(reference, batched):
-        assert ref.kernel == "reference"
-        assert bat.kernel == "batched"
         assert ref.iterations == bat.iterations
         assert ref.converged == bat.converged
         assert ref.machine_name == bat.machine_name
@@ -43,7 +42,7 @@ def assert_bit_identical(reference, batched):
         for ref_program, bat_program in zip(ref.programs, bat.programs):
             assert ref_program.name == bat_program.name
             assert ref_program.core == bat_program.core
-            # Exact equality on purpose: the kernels share op order.
+            # Exact equality on purpose: the two solvers share op order.
             assert ref_program.single_core_cpi == bat_program.single_core_cpi
             assert ref_program.predicted_cpi == bat_program.predicted_cpi
 
@@ -79,13 +78,12 @@ class TestEquivalenceMatrix:
         self, machine4, mixed_batches, variant, smoothing
     ):
         contention, config = VARIANTS[variant]
-        model = MPPM(
-            machine4,
-            contention_model=make_contention_model(contention),
-            config=dataclasses.replace(config, smoothing=smoothing),
+        config = dataclasses.replace(config, smoothing=smoothing)
+        oracle = ReferenceMPPM(machine4, make_contention_model(contention), config)
+        reference = oracle.predict_batch(mixed_batches)
+        batched = MPPM(machine4, make_contention_model(contention), config).predict_batch(
+            mixed_batches
         )
-        reference = model.predict_batch(mixed_batches, kernel="reference")
-        batched = model.predict_batch(mixed_batches, kernel="batched")
         assert_bit_identical(reference, batched)
         assert all(prediction.converged for prediction in batched)
 
@@ -102,10 +100,11 @@ class TestEquivalenceMatrix:
             [profiles4[names[0]], short_profiles[names[1]]],
             [short_profiles[names[2]], profiles4[names[3]], short_profiles[names[4]]],
         ]
-        model = MPPM(machine4, make_contention_model(contention), config)
         assert_bit_identical(
-            model.predict_batch(batches, kernel="reference"),
-            model.predict_batch(batches, kernel="batched"),
+            ReferenceMPPM(machine4, make_contention_model(contention), config).predict_batch(
+                batches
+            ),
+            MPPM(machine4, make_contention_model(contention), config).predict_batch(batches),
         )
 
     def test_single_mix_batch_equals_predict(self, machine4, profiles4):
@@ -114,49 +113,35 @@ class TestEquivalenceMatrix:
         model = MPPM(machine4)
         single = model.predict(profiles)
         batch_of_one = model.predict_batch([profiles])
-        assert single.kernel == "batched"
         assert [p.predicted_cpi for p in single.programs] == [
             p.predicted_cpi for p in batch_of_one[0].programs
         ]
 
     def test_max_iterations_cap_is_identical(self, machine4, mixed_batches):
-        model = MPPM(machine4, config=MPPMConfig(max_iterations=2))
-        reference = model.predict_batch(mixed_batches, kernel="reference")
-        batched = model.predict_batch(mixed_batches, kernel="batched")
+        config = MPPMConfig(max_iterations=2)
+        reference = ReferenceMPPM(machine4, config=config).predict_batch(mixed_batches)
+        batched = MPPM(machine4, config=config).predict_batch(mixed_batches)
         assert_bit_identical(reference, batched)
         assert all(prediction.iterations == 2 for prediction in batched)
         assert not any(prediction.converged for prediction in batched)
 
 
 class TestKernelRouting:
-    def test_kernels_registry(self):
-        assert MPPM_KERNELS == ("batched", "reference")
-
-    def test_unknown_kernel_rejected(self, machine4, profiles4):
-        with pytest.raises(MPPMError):
-            MPPM(machine4, kernel="magic")
-        model = MPPM(machine4)
-        with pytest.raises(MPPMError):
-            model.predict([profiles4[sorted(profiles4)[0]]] * 4, kernel="magic")
-
     def test_store_history_falls_back_to_reference(self, machine4, profiles4):
         names = sorted(profiles4)
-        model = MPPM(machine4, config=MPPMConfig(store_history=True), kernel="batched")
-        prediction = model.predict([profiles4[name] for name in names[:4]])
-        assert prediction.kernel == "reference"
+        profiles = [profiles4[name] for name in names[:4]]
+        config = MPPMConfig(store_history=True)
+        prediction = MPPM(machine4, config=config).predict(profiles)
         assert len(prediction.history) == prediction.iterations
+        assert prediction == ReferenceMPPM(machine4, config=config).predict(profiles)
+        # The history is the only difference from the batched solve.
+        batched = MPPM(machine4).predict(profiles)
+        assert dataclasses.replace(prediction, history=()) == batched
 
     def test_empty_mix_rejected_by_both_kernels(self, machine4):
-        for kernel in MPPM_KERNELS:
+        for model in (MPPM(machine4), ReferenceMPPM(machine4)):
             with pytest.raises(MPPMError):
-                MPPM(machine4, kernel=kernel).predict([])
-
-    def test_kernel_round_trips_through_serialisation(self, machine4, profiles4):
-        names = sorted(profiles4)
-        prediction = MPPM(machine4).predict([profiles4[name] for name in names[:4]])
-        restored = MixPrediction.from_dict(prediction.to_dict())
-        assert restored.kernel == "batched"
-        assert "kernel=batched" in prediction.describe()
+                model.predict([])
 
     def test_predict_many_dedups_identical_mixes(self, machine4, profiles4):
         names = sorted(profiles4)
@@ -169,8 +154,8 @@ class TestKernelRouting:
         assert predictions[0] is predictions[2]
         assert predictions[0] is predictions[3]
         assert predictions[0] is not predictions[1]
-        # Dedup applies on the reference kernel too.
-        reference = MPPM(machine4.with_num_cores(2), kernel="reference").predict_many(
+        # Dedup applies on the oracle too.
+        reference = ReferenceMPPM(machine4.with_num_cores(2)).predict_many(
             [mix_a, mix_b, mix_a], profiles4
         )
         assert reference[0] is reference[2]

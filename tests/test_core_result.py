@@ -8,6 +8,60 @@ from repro.core.result import (
     MPPMResultError,
     ProgramPrediction,
 )
+from repro.experiments import ExperimentConfig, ExperimentSetup
+from repro.service.payloads import prediction_payload
+from repro.workloads import WorkloadMix
+
+#: ``MixPrediction.to_dict()`` payloads exactly as older releases wrote
+#: them into result caches, with the solver that produced each under
+#: ``"kernel"``: gamess + soplex on the 2-core Table 2 configuration #1
+#: machine at 1/16 scale, 20,000-instruction traces, seed 0.
+OLD_PAYLOADS = {
+    "mppm:foa": {
+        "converged": True,
+        "history": [],
+        "iterations": 25,
+        "kernel": "batched",
+        "machine_name": "config #1 (1/16 scale)",
+        "predictor": "mppm:foa",
+        "programs": [
+            {
+                "core": 0,
+                "name": "gamess",
+                "predicted_cpi": 4.963898658358501,
+                "single_core_cpi": 4.560899999999977,
+            },
+            {
+                "core": 1,
+                "name": "soplex",
+                "predicted_cpi": 2.7097910980858115,
+                "single_core_cpi": 2.700666666666724,
+            },
+        ],
+    },
+    "detailed": {
+        "converged": True,
+        "history": [],
+        "iterations": 0,
+        "kernel": "chunked",
+        "machine_name": "config #1 (1/16 scale)",
+        "predictor": "detailed",
+        "programs": [
+            {
+                "core": 0,
+                "name": "gamess",
+                "predicted_cpi": 4.708099999999975,
+                "single_core_cpi": 4.560899999999974,
+            },
+            {
+                "core": 1,
+                "name": "soplex",
+                "predicted_cpi": 2.7108888888889315,
+                "single_core_cpi": 2.700666666666724,
+            },
+        ],
+    },
+}
 
 
 def _program(name="bench", core=0, sc=1.0, mc=1.5):
@@ -78,3 +132,28 @@ class TestMixPrediction:
             history=(record,),
         )
         assert prediction.history[0].window_cycles == 100.0
+
+
+class TestOldPayloads:
+    @pytest.fixture(scope="class")
+    def fresh(self):
+        """Today's predictions for the mix the old payloads describe."""
+        setup = ExperimentSetup(
+            config=ExperimentConfig(num_instructions=20_000, interval_instructions=1_000)
+        )
+        machine = setup.machine(num_cores=2)
+        mix = WorkloadMix(programs=("gamess", "soplex"))
+        return {spec: setup.predict(mix, machine, spec) for spec in OLD_PAYLOADS}
+
+    @pytest.mark.parametrize("spec", sorted(OLD_PAYLOADS))
+    def test_old_payload_loads_into_the_same_prediction(self, spec, fresh):
+        old = OLD_PAYLOADS[spec]
+        loaded = MixPrediction.from_dict(old)
+        assert loaded == fresh[spec]
+        assert loaded.to_dict() == {key: value for key, value in old.items() if key != "kernel"}
+
+    def test_serialised_forms_carry_no_kernel(self, fresh):
+        for prediction in fresh.values():
+            assert "kernel" not in prediction.to_dict()
+            assert "kernel" not in prediction_payload(prediction)
+            assert "kernel" not in prediction.describe()

@@ -1,8 +1,12 @@
 """Unit tests for the shared experiment setup (caching, machines, classification)."""
 
+import dataclasses
+
 import pytest
 
+from repro.contention import make_contention_model
 from repro.experiments import ExperimentConfig, ExperimentSetup, default_setup
+from repro.oracles import ReferenceMPPM, ReferenceMultiCoreSimulator
 from repro.workloads import BenchmarkClass, WorkloadMix, small_suite
 
 
@@ -27,23 +31,21 @@ class TestExperimentConfig:
             dict(num_instructions=0),
             dict(interval_instructions=0),
             dict(num_instructions=1_000, interval_instructions=300),
-            dict(kernel="magic"),
-            dict(mppm_kernel="magic"),
-            dict(multicore_kernel="magic"),
         ],
     )
     def test_invalid_configs_rejected(self, kwargs):
         with pytest.raises(ValueError):
             ExperimentConfig(**kwargs)
 
-    def test_kernel_defaults_to_vectorized_and_reaches_the_store(self):
-        assert ExperimentConfig().kernel == "vectorized"
-        setup = ExperimentSetup(
-            config=ExperimentConfig(
-                num_instructions=10_000, interval_instructions=1_000, kernel="reference"
-            )
-        )
-        assert setup.store.kernel == "reference"
+    def test_every_field_is_a_result_input(self):
+        # Each field changes results and enters the cache keys; no
+        # speed-only setting rides along.
+        assert [field.name for field in dataclasses.fields(ExperimentConfig)] == [
+            "scale",
+            "num_instructions",
+            "interval_instructions",
+            "seed",
+        ]
 
 
 class TestExperimentSetup:
@@ -111,43 +113,34 @@ class TestBatchedMppmSweeps:
     MPPM_SPECS = ("mppm:foa", "mppm:sdc", "mppm:prob", "mppm:windowed", "mppm:figure2")
 
     @staticmethod
-    def _setup(mppm_kernel, **kwargs):
+    def _setup(**kwargs):
         return ExperimentSetup(
-            config=ExperimentConfig(
-                scale=16,
-                num_instructions=30_000,
-                interval_instructions=1_000,
-                mppm_kernel=mppm_kernel,
-            ),
+            config=ExperimentConfig(scale=16, num_instructions=30_000, interval_instructions=1_000),
             suite=small_suite(6),
             **kwargs,
         )
 
-    def test_default_kernel_is_batched(self):
-        assert ExperimentConfig().mppm_kernel == "batched"
-
     def test_batched_sweep_matches_reference_bitwise(self):
-        batched_setup = self._setup("batched")
-        reference_setup = self._setup("reference")
-        machine = batched_setup.machine(num_cores=2)
-        pairs = [
-            (mix, machine) for mix in batched_setup.mixes(num_programs=2, num_mixes=4)
-        ]
+        setup = self._setup()
+        machine = setup.machine(num_cores=2)
+        mixes = setup.mixes(num_programs=2, num_mixes=4)
         for spec in self.MPPM_SPECS:
-            batched = batched_setup.predict_batch(pairs, predictor=spec)
-            reference = reference_setup.predict_batch(pairs, predictor=spec)
-            assert [p.kernel for p in batched] == ["batched"] * len(pairs)
-            assert [p.kernel for p in reference] == ["reference"] * len(pairs)
-            for fast, slow in zip(batched, reference):
+            batched = setup.predict_batch([(mix, machine) for mix in mixes], predictor=spec)
+            predictor = setup.predictor(spec)
+            oracle = ReferenceMPPM(
+                machine, make_contention_model(predictor.contention), predictor.mppm_config
+            )
+            for mix, fast in zip(mixes, batched):
+                slow = oracle.predict_mix(mix, setup.mix_profiles(mix, machine))
                 assert fast.iterations == slow.iterations
                 assert fast.converged == slow.converged
-                # Exact equality on purpose: the kernels share op order.
+                # Exact equality on purpose: the two solvers share op order.
                 assert [p.predicted_cpi for p in fast.programs] == [
                     p.predicted_cpi for p in slow.programs
                 ]
 
     def test_duplicate_ops_share_one_prediction_object(self):
-        setup = self._setup("batched")
+        setup = self._setup()
         machine = setup.machine(num_cores=2)
         mix = WorkloadMix(programs=tuple(setup.benchmark_names[:2]))
         other = WorkloadMix(programs=tuple(setup.benchmark_names[2:4]))
@@ -158,7 +151,7 @@ class TestBatchedMppmSweeps:
         assert results[0] is not results[1]
 
     def test_batch_path_populates_per_op_cache_entries(self, tmp_path):
-        setup = self._setup("batched", cache_dir=tmp_path)
+        setup = self._setup(cache_dir=tmp_path)
         machine = setup.machine(num_cores=2)
         pairs = [(mix, machine) for mix in setup.mixes(num_programs=2, num_mixes=3)]
         pairs.append(pairs[0])  # duplicate op: one store, two results
@@ -169,7 +162,7 @@ class TestBatchedMppmSweeps:
 
         # A fresh setup over the same cache directory answers every op
         # from the per-op cache entries the batch job scattered out.
-        rerun_setup = self._setup("batched", cache_dir=tmp_path)
+        rerun_setup = self._setup(cache_dir=tmp_path)
         rerun_machine = rerun_setup.machine(num_cores=2)
         rerun_pairs = [(mix, rerun_machine) for mix, _ in pairs]
         before = rerun_setup.engine.cache_stats()
@@ -183,69 +176,41 @@ class TestBatchedMppmSweeps:
 
 
 class TestMulticoreKernelPlumbing:
-    """The interleaving kernel threads from ExperimentConfig to the
-    reference simulator and into ``detailed`` provenance, without ever
-    entering a cache key (the kernels are bit-identical)."""
+    """The setup's reference simulations are the per-access oracle's,
+    bit for bit, on every engine path."""
 
     @staticmethod
-    def _setup(multicore_kernel, **kwargs):
+    def _setup(**kwargs):
         return ExperimentSetup(
-            config=ExperimentConfig(
-                scale=16,
-                num_instructions=30_000,
-                interval_instructions=1_000,
-                multicore_kernel=multicore_kernel,
-            ),
+            config=ExperimentConfig(scale=16, num_instructions=30_000, interval_instructions=1_000),
             suite=small_suite(6),
             **kwargs,
         )
 
-    def test_default_kernel_is_chunked(self):
-        assert ExperimentConfig().multicore_kernel == "chunked"
-
     def test_all_kernels_simulate_bit_identically(self):
-        from repro.simulators import MULTI_CORE_KERNELS
+        setup = self._setup()
+        machine = setup.machine(num_cores=4)
+        mix = WorkloadMix(programs=tuple(setup.benchmark_names[:4]))
+        oracle = ReferenceMultiCoreSimulator(machine).run(setup.llc_traces(mix, machine))
+        assert setup.simulate(mix, machine) == oracle
 
-        setups = {kernel: self._setup(kernel) for kernel in MULTI_CORE_KERNELS}
-        machine = setups["chunked"].machine(num_cores=4)
-        mix = WorkloadMix(programs=tuple(setups["chunked"].benchmark_names[:4]))
-        results = {
-            kernel: setup.simulate(mix, machine) for kernel, setup in setups.items()
-        }
-        assert results["chunked"] == results["heap"] == results["scan"]
-
-    def test_detailed_prediction_records_kernel_provenance(self):
-        setup = self._setup("heap")
+    def test_detailed_sweep_repackages_like_predict(self):
+        setup = self._setup()
         machine = setup.machine(num_cores=2)
         mix = WorkloadMix(programs=tuple(setup.benchmark_names[:2]))
         direct = setup.predict(mix, machine, predictor="detailed")
         assert direct.predictor == "detailed"
-        assert direct.kernel == "heap"
         # The sweep path repackages simulate jobs the same way.
         swept = setup.predict_batch([(mix, machine)], predictor="detailed")[0]
-        assert swept.kernel == "heap"
-        assert swept.programs == direct.programs
-
-    def test_kernel_is_not_part_of_the_cache_key(self, tmp_path):
-        mix_names = None
-        results = []
-        for kernel in ("chunked", "heap"):
-            setup = self._setup(kernel, cache_dir=tmp_path)
-            machine = setup.machine(num_cores=2)
-            if mix_names is None:
-                mix_names = tuple(setup.benchmark_names[:2])
-            results.append(setup.simulate_batch([(WorkloadMix(programs=mix_names), machine)])[0])
-        # The second setup must be served from the first one's cache
-        # entry (identical bytes either way).
-        assert results[0] == results[1]
+        assert swept == direct
 
     def test_parallel_simulation_matches_serial_bitwise(self):
-        serial = self._setup("chunked")
+        serial = self._setup()
         machine = serial.machine(num_cores=2)
         mixes = serial.mixes(num_programs=2, num_mixes=3)
         pairs = [(mix, machine) for mix in mixes]
         expected = serial.simulate_batch(pairs)
-        parallel = self._setup("chunked", jobs=2)
+        parallel = self._setup(jobs=2)
         try:
             assert parallel.simulate_batch(pairs) == expected
         finally:

@@ -3,9 +3,9 @@
 Trace generation and private-level filtering do not depend on the LLC,
 so the store memoises them per (benchmark spec, private levels) and
 resolves only the LLC per configuration.  These tests pin that the
-shared stage changes no bit of any profile or LLC trace, that it really
-is paid once per benchmark, and that it is never reused where it does
-not apply.
+shared stage changes no bit of any profile or LLC trace (against fresh
+stores and against the per-access oracle), that it really is paid once
+per benchmark, and that it is never reused where it does not apply.
 """
 
 from dataclasses import replace
@@ -14,26 +14,35 @@ import numpy as np
 import pytest
 
 from repro.config import llc_design_space, scaled
+from repro.oracles import ReferenceSingleCoreSimulator
 from repro.profiling import ProfileStore
+from repro.profiling.profiler import profile_from_run
 from repro.simulators.single_core import SingleCoreSimulator
 from repro.workloads import make_workload
 from repro.workloads.generator import TraceGenerator
 
 from testdefaults import TEST_SCALE
 
-#: Short traces keep the reference kernel affordable over 6 machines.
+#: Short traces keep the per-access oracle affordable over 6 machines.
 INSTRUCTIONS = 12_000
 INTERVAL = 1_000
+
+WORKLOADS = ["suite:spec29", "random:n=6,seed=11"]
 
 
 def design_space():
     return [scaled(machine, TEST_SCALE) for machine in llc_design_space(num_cores=4)]
 
 
-def make_store(kernel="vectorized"):
-    return ProfileStore(
-        num_instructions=INSTRUCTIONS, interval_instructions=INTERVAL, kernel=kernel
-    )
+def make_store():
+    return ProfileStore(num_instructions=INSTRUCTIONS, interval_instructions=INTERVAL)
+
+
+def assert_same_llc_trace(ours, theirs):
+    for field in ("line", "insn", "upstream_cycle_gap"):
+        assert np.array_equal(getattr(ours, field), getattr(theirs, field))
+    assert ours.isolated_cycles == theirs.isolated_cycles
+    assert ours.tail_cycles == theirs.tail_cycles
 
 
 class CallCounter:
@@ -50,24 +59,38 @@ class CallCounter:
         monkeypatch.setattr(owner, name, counting)
 
 
-@pytest.mark.parametrize("kernel", ["vectorized", "reference"])
-@pytest.mark.parametrize("workload", ["suite:spec29", "random:n=6,seed=11"])
-def test_one_store_equals_fresh_single_machine_stores(workload, kernel):
+@pytest.mark.parametrize("workload", WORKLOADS)
+def test_one_store_equals_fresh_single_machine_stores(workload):
     suite = make_workload(workload).suite()
     machines = design_space()
-    shared = make_store(kernel)
+    shared = make_store()
     for machine in machines:
-        fresh = make_store(kernel)
+        fresh = make_store()
         for spec in suite:
             ours = shared.get(spec, machine)
             theirs = fresh.get(spec, machine)
             assert ours.profile.to_dict() == theirs.profile.to_dict()
-            for field in ("line", "insn", "upstream_cycle_gap"):
-                assert np.array_equal(
-                    getattr(ours.llc_trace, field), getattr(theirs.llc_trace, field)
-                )
-            assert ours.llc_trace.isolated_cycles == theirs.llc_trace.isolated_cycles
-            assert ours.llc_trace.tail_cycles == theirs.llc_trace.tail_cycles
+            assert_same_llc_trace(ours.llc_trace, theirs.llc_trace)
+
+
+@pytest.mark.parametrize("workload", WORKLOADS)
+def test_oracle_resolves_one_miss_stream_on_every_machine(workload):
+    """The per-access oracle filters each trace once and resolves that one
+    stream on all six machines; every profile and LLC trace equals the
+    fast store's bit for bit."""
+    suite = make_workload(workload).suite()
+    machines = design_space()
+    assert len({machine.private_levels for machine in machines}) == 1
+    store = make_store()
+    generator = TraceGenerator(num_instructions=INSTRUCTIONS, seed=0)
+    oracles = [ReferenceSingleCoreSimulator(machine, INTERVAL) for machine in machines]
+    for spec in suite:
+        stream = oracles[0].filter_private(generator.generate(spec))
+        for machine, oracle in zip(machines, oracles):
+            run = oracle.run(stream)
+            fast = store.get(spec, machine)
+            assert profile_from_run(run, machine).to_dict() == fast.profile.to_dict()
+            assert_same_llc_trace(run.llc_trace, fast.llc_trace)
 
 
 def test_design_space_generates_and_filters_each_trace_once(monkeypatch):

@@ -6,6 +6,9 @@ surface (and the package metadata) down.
 """
 
 import importlib
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -62,6 +65,27 @@ class TestPublicSurface:
             if callable(obj) and not (obj.__doc__ or "").strip():
                 undocumented.append(name)
         assert not undocumented, f"public API without docstrings: {undocumented}"
+
+    def test_no_kernel_choice_is_exported(self):
+        # Every layer has one production path; the per-access loops are
+        # test oracles in repro.oracles, not selectable kernels.
+        removed = {"KERNELS", "GENERATOR_KERNELS", "MPPM_KERNELS", "MULTI_CORE_KERNELS"}
+        for module_name in ("repro", "repro.workloads", "repro.simulators", "repro.core"):
+            module = importlib.import_module(module_name)
+            assert not removed & set(module.__all__), module_name
+            assert not any(hasattr(module, name) for name in removed), module_name
+
+    def test_oracles_stay_off_the_import_floor(self):
+        code = (
+            "import sys, repro, repro.cli; "
+            "print(sorted(name for name in sys.modules if name.startswith('repro.oracles')))"
+        )
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        result = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+        )
+        assert result.stdout.strip() == "[]"
 
 
 class TestSuiteContract:

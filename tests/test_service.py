@@ -489,10 +489,8 @@ class TestBatchingAndCaching:
     def test_stats_report_per_predictor_solve_batches(self, live):
         mixes = [[NAMES[0], NAMES[4]], [NAMES[1], NAMES[4]], [NAMES[3], NAMES[4]]]
         response = call(live, lambda c: c.predict(mixes=mixes, predictor="mppm:foa"))
-        # Served predictions carry the solver kernel as provenance.
-        assert all(
-            prediction["kernel"] == "batched" for prediction in response["predictions"]
-        )
+        # Which solver ran never shows in a served prediction.
+        assert all("kernel" not in prediction for prediction in response["predictions"])
         payload = call(live, lambda c: c.stats())
         entry = payload["predictors"]["mppm:foa"]
         assert entry["batches"] >= 1

@@ -96,27 +96,7 @@ class TestMultiCoreSimulator:
         assert four_core.program("gamess").slowdown >= two_core.program("gamess").slowdown - 1e-6
 
 
-class TestReadyQueueVariants:
-    def test_invalid_ready_queue_rejected(self, machine4):
-        with pytest.raises(MultiCoreSimulationError):
-            MultiCoreSimulator(machine4, ready_queue="sorted-list")
-
-    def test_heap_and_scan_are_bit_identical_on_an_eight_core_mix(
-        self, store, tiny_suite, machine4
-    ):
-        """The heapq ready queue must reproduce the linear scan exactly.
-
-        Eight cores with duplicated programs maximise ready-time ties,
-        which is where the two orderings could diverge; dataclass
-        equality compares every cycle count exactly.
-        """
-        machine8 = machine4.with_num_cores(8)
-        names = ["gamess", "soplex", "mcf", "hmmer", "gamess", "soplex", "mcf", "hmmer"]
-        traces = _traces(store, tiny_suite, machine4, names)
-        heap_result = MultiCoreSimulator(machine8, ready_queue="heap").run(traces)
-        scan_result = MultiCoreSimulator(machine8, ready_queue="scan").run(traces)
-        assert heap_result == scan_result
-
+class TestRunResultSerialisation:
     def test_serialisation_roundtrip_is_exact(self, store, tiny_suite, machine4):
         traces = _traces(store, tiny_suite, machine4, ["gamess", "hmmer", "soplex", "mcf"])
         result = MultiCoreSimulator(machine4).run(traces)

@@ -1,10 +1,11 @@
-"""Equivalence matrix for the multi-core interleaving kernels.
+"""Equivalence matrix for the multi-core interleaving walk.
 
-The chunked kernel claims *bit-identical* results to the per-access
-reference loops — not approximately equal.  Frozen-dataclass equality
-on :class:`MultiCoreRunResult` compares every cycle count, CPI input
-and counter exactly, so each case below asserts plain ``==`` across
-``heap``/``scan``/``chunked`` on the situations where a speculative
+The chunked walk of :class:`MultiCoreSimulator` claims *bit-identical*
+results to the per-access oracle
+:class:`repro.oracles.ReferenceMultiCoreSimulator` — not approximately
+equal.  Frozen-dataclass equality on :class:`MultiCoreRunResult`
+compares every cycle count, CPI input and counter exactly, so each case
+below asserts plain ``==`` on the situations where a speculative
 merge-and-rollback walk could diverge: duplicated-program mixes, exact
 ready-time ties, traces shorter than one speculation window, and
 1/2/4-core machines.
@@ -13,28 +14,15 @@ ready-time ties, traces shorter than one speculation window, and
 import numpy as np
 import pytest
 
+from repro.oracles import ReferenceMultiCoreSimulator
 from repro.simulators.llc_trace import LLCAccessTrace
-from repro.simulators.multi_core import (
-    MULTI_CORE_KERNELS,
-    MultiCoreSimulationError,
-    MultiCoreSimulator,
-)
+from repro.simulators.multi_core import MultiCoreSimulationError, MultiCoreSimulator
 from repro.workloads.benchmark import BenchmarkSpec, ReuseProfile
 
 
-def run_all_kernels(machine, traces):
-    """The same simulation on every kernel, as ``{kernel: result}``."""
-    return {
-        kernel: MultiCoreSimulator(machine, kernel=kernel).run(traces)
-        for kernel in MULTI_CORE_KERNELS
-    }
-
-
 def assert_all_identical(machine, traces):
-    results = run_all_kernels(machine, traces)
-    reference = results["heap"]
-    for kernel, result in results.items():
-        assert result == reference, f"kernel {kernel!r} diverged from heap"
+    reference = ReferenceMultiCoreSimulator(machine).run(traces)
+    assert MultiCoreSimulator(machine).run(traces) == reference, "diverged from the oracle"
     return reference
 
 
@@ -92,6 +80,12 @@ class TestKernelEquivalenceMatrix:
         # rather than prefetching for each other.
         for program in result.programs:
             assert program.slowdown > 1.0
+
+    def test_eight_core_duplicated_mix(self, store, tiny_suite, machine4):
+        """Eight cores with duplicated programs maximise ready-time ties."""
+        machine8 = machine4.with_num_cores(8)
+        names = ["gamess", "soplex", "mcf", "hmmer"] * 2
+        assert_all_identical(machine8, _traces(store, tiny_suite, machine4, names))
 
     def test_duplicated_pair_on_two_cores(self, store, tiny_suite, machine2):
         traces = _traces(store, tiny_suite, machine2, ["soplex", "soplex"])
@@ -163,26 +157,6 @@ class TestKernelEquivalenceMatrix:
             synthetic_trace("burst-b", gaps, lines[::-1].copy(), seed=52),
         ]
         assert_all_identical(machine2, traces)
-
-
-class TestKernelSelection:
-    def test_unknown_kernel_rejected(self, machine4):
-        with pytest.raises(MultiCoreSimulationError):
-            MultiCoreSimulator(machine4, kernel="quantum")
-
-    def test_run_level_kernel_override(self, store, tiny_suite, machine2):
-        traces = _traces(store, tiny_suite, machine2, ["gamess", "mcf"])
-        simulator = MultiCoreSimulator(machine2, kernel="heap")
-        assert simulator.run(traces, kernel="chunked") == simulator.run(traces)
-
-    def test_chunked_requires_lru(self, store, tiny_suite, machine2):
-        traces = _traces(store, tiny_suite, machine2, ["gamess", "mcf"])
-        with pytest.raises(MultiCoreSimulationError):
-            MultiCoreSimulator(machine2, llc_policy="random", kernel="chunked")
-        # Without an explicit kernel the default silently stays on the
-        # reference loop for non-LRU policies.
-        fallback = MultiCoreSimulator(machine2, llc_policy="random")
-        assert fallback.run(traces).total_llc_accesses > 0
 
 
 class TestRunResultValidation:

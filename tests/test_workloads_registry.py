@@ -117,7 +117,6 @@ class TestRegistry:
             "available_workloads",
             "WorkloadSource",
             "DEFAULT_WORKLOAD",
-            "GENERATOR_KERNELS",
         ):
             assert name in repro.__all__
             assert hasattr(repro, name)
@@ -309,13 +308,15 @@ class TestProfileStoreQualification:
 
 class TestTraceGenerationThroughRegistry:
     def test_registry_suites_generate_identical_traces_on_both_kernels(self):
+        from repro.oracles import ReferenceTraceGenerator
         from repro.workloads.generator import TraceGenerator
 
         generator = TraceGenerator(num_instructions=10_000, seed=0)
+        oracle = ReferenceTraceGenerator(num_instructions=10_000, seed=0)
         for spec_string in ("random:n=3,seed=1", "service:n=3,seed=1"):
             for benchmark in make_workload(spec_string).suite():
-                vectorized = generator.generate(benchmark, kernel="vectorized")
-                reference = generator.generate(benchmark, kernel="reference")
+                vectorized = generator.generate(benchmark)
+                reference = oracle.generate(benchmark)
                 assert np.array_equal(vectorized.access_line, reference.access_line)
                 assert np.array_equal(
                     vectorized.base_cycle_gap, reference.base_cycle_gap
