@@ -10,10 +10,12 @@ from __future__ import annotations
 
 import os
 from abc import ABC, abstractmethod
-from concurrent.futures import ProcessPoolExecutor
-from typing import Any, List, Optional, Sequence
+from typing import TYPE_CHECKING, Any, List, Optional, Sequence
 
 from repro.engine.job import Job
+
+if TYPE_CHECKING:
+    from concurrent.futures import ProcessPoolExecutor
 
 
 class ExecutorBackend(ABC):
@@ -70,6 +72,10 @@ class ProcessPoolBackend(ExecutorBackend):
 
     def _ensure_pool(self) -> ProcessPoolExecutor:
         if self._pool is None:
+            # Imported here: it loads multiprocessing, which a serial run
+            # never needs.
+            from concurrent.futures import ProcessPoolExecutor
+
             self._pool = ProcessPoolExecutor(max_workers=self.jobs)
         return self._pool
 

@@ -1,18 +1,95 @@
 """Unit and property tests for confidence intervals and rank statistics."""
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+from statistics import NormalDist
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro
 from repro.metrics.statistics import (
     StatisticsError,
+    _critical_value,
     bootstrap_confidence_interval,
     confidence_interval,
     mean_confidence_halfwidth_pct,
     rank_of,
     spearman_rank_correlation,
 )
+
+TABLE = json.loads(
+    (Path(__file__).parent / "data" / "student_t_quantiles.json").read_text()
+)
+TABLE_ROWS = list(zip(TABLE["confidences"], TABLE["values"]))
+
+# Two-sided 95% critical values at the dofs the normal approximation used
+# to get most wrong (dof = 11 is the default ``--mixes 12``).
+REGRESSIONS = {3: 3.1824463052837078, 11: 2.200985160091639}
+
+
+class TestCriticalValue:
+    @pytest.mark.parametrize("confidence,expected", TABLE_ROWS, ids=TABLE["confidences"])
+    def test_matches_the_committed_table(self, confidence, expected):
+        ours = [_critical_value(confidence, dof) for dof in TABLE["dofs"]]
+        assert ours == pytest.approx(expected, rel=1e-12, abs=0)
+
+    def test_rises_with_confidence(self):
+        confidences = TABLE["confidences"]
+        for dof in TABLE["dofs"]:
+            values = [_critical_value(confidence, dof) for confidence in confidences]
+            assert values == sorted(values) and len(set(values)) == len(values), dof
+
+    @pytest.mark.parametrize("confidence", TABLE["confidences"])
+    def test_falls_as_dof_rises(self, confidence):
+        values = [_critical_value(confidence, dof) for dof in TABLE["dofs"]]
+        assert all(later < earlier for earlier, later in zip(values, values[1:]))
+
+    @pytest.mark.parametrize("confidence", TABLE["confidences"])
+    def test_approaches_the_normal_quantile_at_large_dof(self, confidence):
+        normal = NormalDist().inv_cdf(0.5 + confidence / 2.0)
+        gaps = [_critical_value(confidence, dof) - normal for dof in (100, 1_000, 10_000, 100_000)]
+        assert all(gap > 0 for gap in gaps)
+        assert all(later < earlier / 5 for earlier, later in zip(gaps, gaps[1:]))
+        assert gaps[-1] < 1e-4 * normal
+
+    @pytest.mark.parametrize("dof,expected", sorted(REGRESSIONS.items()))
+    def test_exact_at_small_dof(self, dof, expected):
+        assert _critical_value(0.95, dof) == pytest.approx(expected, rel=1e-12, abs=0)
+
+    def test_does_not_depend_on_scipy(self):
+        samples = [float(i % 5) for i in range(12)]
+        code = (
+            "import json, sys; sys.modules['scipy'] = None; "
+            "from repro.metrics.statistics import _critical_value, confidence_interval; "
+            f"print(json.dumps([_critical_value(0.95, dof) for dof in {sorted(REGRESSIONS)}] "
+            f"+ [confidence_interval({samples}).halfwidth]))"
+        )
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        result = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+        )
+        here = [_critical_value(0.95, dof) for dof in sorted(REGRESSIONS)]
+        assert json.loads(result.stdout) == here + [confidence_interval(samples).halfwidth]
+
+    def test_interval_uses_the_exact_value(self):
+        samples = [float(i % 5) for i in range(12)]
+        interval = confidence_interval(samples)
+        stderr = np.std(samples, ddof=1) / np.sqrt(len(samples))
+        assert interval.halfwidth == pytest.approx(REGRESSIONS[11] * stderr, rel=1e-12)
+
+    def test_matches_live_scipy_when_available(self):
+        scipy_stats = pytest.importorskip("scipy.stats")
+        for confidence in TABLE["confidences"]:
+            for dof in (3, 11, 50, 199, 2000):
+                theirs = float(scipy_stats.t.ppf(0.5 + confidence / 2.0, dof))
+                assert _critical_value(confidence, dof) == pytest.approx(theirs, rel=1e-12, abs=0)
 
 
 class TestConfidenceInterval:
