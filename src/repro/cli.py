@@ -59,7 +59,7 @@ import argparse
 import json
 import sys
 import time
-from typing import List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
@@ -124,30 +124,28 @@ def _positive_int(value: str) -> int:
     return number
 
 
-def _predictor_spec(value: str) -> str:
-    """argparse type for ``--model``: canonicalised registry spec."""
-    try:
-        return canonical_spec(value)
-    except ValueError as error:
-        raise argparse.ArgumentTypeError(str(error)) from None
+def _fleet_flag(value: str) -> str:
+    # Imported here: repro.engine.remote stays off the import floor.
+    from repro.engine.remote import normalize_fleet_flag
+
+    return normalize_fleet_flag(value)
 
 
-def _workload_spec(value: str) -> str:
-    """argparse type for ``--suite``: canonicalised workload spec."""
-    try:
-        return canonical_workload_spec(value)
-    except ValueError as error:
-        raise argparse.ArgumentTypeError(str(error)) from None
+def _spec_type(canonicalise: Callable[[str], str]) -> Callable[[str], str]:
+    """argparse type for a spec flag: the canonical spec, or a usage error."""
+
+    def spec(value: str) -> str:
+        try:
+            return canonicalise(value)
+        except ValueError as error:  # every registry raises a SpecError
+            raise argparse.ArgumentTypeError(str(error)) from None
+
+    return spec
 
 
-def _fleet_spec(value: str) -> str:
-    """argparse type for ``--fleet``: canonicalised ``fleet:`` spec."""
-    from repro.engine.remote import FleetSpecError, normalize_fleet_flag
-
-    try:
-        return normalize_fleet_flag(value)
-    except FleetSpecError as error:
-        raise argparse.ArgumentTypeError(str(error)) from None
+_predictor_spec = _spec_type(canonical_spec)  # --model
+_workload_spec = _spec_type(canonical_workload_spec)  # --suite
+_fleet_spec = _spec_type(_fleet_flag)  # --fleet
 
 
 def _add_model_argument(parser: argparse.ArgumentParser, repeatable: bool) -> None:

@@ -2,36 +2,35 @@
 
 A fleet spec is a string with the ``fleet:`` prefix, accepted anywhere
 an engine ``jobs`` count is (``create_engine(jobs="fleet:...")``,
-``ExperimentSetup(jobs=...)``, ``repro run --fleet ...``).  Three
-worker sources:
+``ExperimentSetup(jobs=...)``, ``repro run --fleet ...``).  Its head
+names the worker source:
 
-* ``fleet:localhost:N`` — N loopback subprocess workers, launched and
-  owned by the driver.  The CI-testable path.
-* ``fleet:ssh=host1,host2`` — one worker per host, launched over
-  ``ssh`` (``BatchMode``; the hosts need key auth and the repro
-  package on their python path).
-* ``fleet:attach=host:port+host:port`` — adopt already-running
-  ``repro worker`` agents (``+``-separated because endpoints contain
-  ``:``).  Attached workers are not shut down on close.
+* ``localhost:N`` — N loopback subprocess workers, launched and owned
+  by the driver.  The CI-testable path.
+* ``ssh=host1,host2`` — one worker per host, launched over ``ssh``
+  (``BatchMode``; the hosts need key auth and the repro package on
+  their python path).  ``python=`` names the remote interpreter.
+* ``attach=host:port+host:port`` — adopt already-running
+  ``repro worker`` agents.  Attached workers are not shut down on
+  close.
 
-Options ride after the worker source as ``,key=value`` pairs:
-``timeout`` (per-job seconds), ``python`` (remote interpreter for
-``ssh=``).  Example: ``fleet:localhost:2,timeout=900``.
+The grammar, the ``timeout``/``python`` parameters and the canonical
+form come from the :mod:`repro.specs` table below (README "Spec
+strings").  Example: ``fleet:localhost:2,timeout=900``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Tuple, Union
+from typing import Any, Dict, Tuple, Union
 
 from repro.engine.remote.errors import FleetSpecError
+from repro.specs import Family, Param, Registry, Row, SpecError, ascii_int
 
 PREFIX = "fleet:"
 
 #: Per-job execution timeout (seconds) unless the spec overrides it.
 DEFAULT_JOB_TIMEOUT = 600.0
-
-_OPTION_KEYS = ("timeout", "python")
 
 
 def is_fleet_spec(value: object) -> bool:
@@ -54,6 +53,7 @@ class FleetSpec:
     host names or ``host:port`` endpoints for ``attach``.
     """
 
+    canonical: str
     kind: str
     count: int = 0
     hosts: Tuple[str, ...] = field(default=())
@@ -64,48 +64,56 @@ class FleetSpec:
     def num_workers(self) -> int:
         return self.count if self.kind == "localhost" else len(self.hosts)
 
-    @property
-    def canonical(self) -> str:
-        if self.kind == "localhost":
-            body = f"localhost:{self.count}"
-        elif self.kind == "ssh":
-            body = "ssh=" + ",".join(self.hosts)
-        else:
-            body = "attach=" + "+".join(self.hosts)
-        options = []
-        if self.job_timeout != DEFAULT_JOB_TIMEOUT:
-            options.append(f"timeout={self.job_timeout:g}")
-        if self.kind == "ssh" and self.python != "python3":
-            options.append(f"python={self.python}")
-        return PREFIX + ",".join([body] + options)
-
     def __str__(self) -> str:
         return self.canonical
 
 
-def _split_options(parts: list) -> Dict[str, str]:
-    """Pop trailing ``key=value`` option parts off a comma-split list."""
-    options: Dict[str, str] = {}
-    while parts:
-        name, separator, value = parts[-1].partition("=")
-        if not separator or name not in _OPTION_KEYS:
-            break
-        options[name] = value
-        parts.pop()
-    return options
+def _worker_source(text: str, given: Dict[str, Any]) -> Tuple[str, Any]:
+    """Read ``localhost:N``, ``ssh=h1,h2`` or ``attach=h:p+h:p``.
+
+    The head value is ``(kind, count, hosts)``.
+    """
+    kind, _, rest = text.partition("=")
+    if kind == "ssh":
+        hosts = tuple(host for host in rest.split(",") if host)
+        if not hosts:
+            raise SpecError("an ssh fleet names no hosts")
+        return "ssh=" + ",".join(hosts), ("ssh", 0, hosts)
+    if "python" in given:
+        raise SpecError("python= only applies to ssh fleets")
+    if kind == "attach":
+        endpoints = tuple(e.strip() for e in rest.split("+") if e.strip())
+        if not endpoints or "," in rest:
+            raise SpecError("attach fleets are attach=host:port[+host:port...]")
+        for endpoint in endpoints:
+            host, colon, port = endpoint.rpartition(":")
+            if not (colon and host):
+                raise SpecError(f"attach endpoints are 'host:port', got {endpoint!r}")
+            ascii_int(port, f"the port of {endpoint!r}")
+        return "attach=" + "+".join(endpoints), ("attach", 0, endpoints)
+    kind, _, count = text.partition(":")
+    if kind != "localhost":
+        raise SpecError("the worker source is localhost:N, ssh=... or attach=...")
+    workers = ascii_int(count, "the localhost worker count", low=1)
+    return f"localhost:{workers}", ("localhost", workers, ())
 
 
-def _parse_timeout(options: Dict[str, str]) -> float:
-    raw = options.pop("timeout", None)
-    if raw is None:
-        return DEFAULT_JOB_TIMEOUT
-    try:
-        timeout = float(raw)
-    except ValueError:
-        raise FleetSpecError(f"fleet timeout must be a number, got {raw!r}") from None
-    if timeout <= 0:
-        raise FleetSpecError(f"fleet timeout must be positive, got {raw}")
-    return timeout
+_SPECS = Registry(
+    "fleet",
+    FleetSpecError,
+    (
+        Family(
+            "fleet",
+            head=_worker_source,
+            params=(
+                Param("timeout", kind="float", default=DEFAULT_JOB_TIMEOUT, always=False),
+                Param("python", kind="text", default="python3", always=False),
+            ),
+            rows=(Row("fleet:localhost:2", "loopback, ssh= or attach= fleet workers"),),
+        ),
+    ),
+    fold_case=False,
+)
 
 
 def parse_fleet_spec(spec: Union[str, "FleetSpec"]) -> FleetSpec:
@@ -114,45 +122,13 @@ def parse_fleet_spec(spec: Union[str, "FleetSpec"]) -> FleetSpec:
         return spec
     if not is_fleet_spec(spec):
         raise FleetSpecError(f"not a fleet spec (missing {PREFIX!r} prefix): {spec!r}")
-    body = spec[len(PREFIX) :].strip()
-    if not body:
-        raise FleetSpecError(f"empty fleet spec: {spec!r}")
-    parts = [part.strip() for part in body.split(",")]
-    options = _split_options(parts)
-    job_timeout = _parse_timeout(options)
-
-    head = parts[0]
-    if head.startswith("localhost"):
-        if len(parts) != 1:
-            raise FleetSpecError(f"unexpected parts in localhost fleet spec: {spec!r}")
-        _, separator, raw_count = head.partition(":")
-        if not separator or not raw_count.isdigit() or int(raw_count) < 1:
-            raise FleetSpecError(
-                f"localhost fleets are 'fleet:localhost:N' with N >= 1, got {spec!r}"
-            )
-        return FleetSpec(kind="localhost", count=int(raw_count), job_timeout=job_timeout)
-
-    if head.startswith("ssh="):
-        hosts = tuple(h for h in [head[len("ssh=") :]] + parts[1:] if h)
-        if not hosts:
-            raise FleetSpecError(f"ssh fleet spec names no hosts: {spec!r}")
-        python = options.pop("python", "python3")
-        return FleetSpec(kind="ssh", hosts=hosts, job_timeout=job_timeout, python=python)
-
-    if head.startswith("attach="):
-        if len(parts) != 1:
-            raise FleetSpecError(f"unexpected parts in attach fleet spec: {spec!r}")
-        endpoints = tuple(e.strip() for e in head[len("attach=") :].split("+") if e.strip())
-        if not endpoints:
-            raise FleetSpecError(f"attach fleet spec names no endpoints: {spec!r}")
-        for endpoint in endpoints:
-            host, separator, port = endpoint.rpartition(":")
-            if not separator or not host or not port.isdigit():
-                raise FleetSpecError(
-                    f"attach endpoints are 'host:port', got {endpoint!r} in {spec!r}"
-                )
-        return FleetSpec(kind="attach", hosts=endpoints, job_timeout=job_timeout)
-
-    raise FleetSpecError(
-        f"unknown fleet kind in {spec!r} (expected localhost:N, ssh=..., or attach=...)"
+    parsed = _SPECS.parse(spec)
+    kind, count, hosts = parsed.head
+    return FleetSpec(
+        canonical=parsed.canonical,
+        kind=kind,
+        count=count,
+        hosts=hosts,
+        job_timeout=parsed.params["timeout"],
+        python=parsed.params["python"],
     )

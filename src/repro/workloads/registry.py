@@ -4,21 +4,11 @@ PR 4 gave every performance estimator one registry
 (:mod:`repro.predictors`); this module gives the *workload* side of an
 experiment the same treatment.  A workload — the benchmark suite plus
 the way multi-program mixes are drawn from it — is identified by a
-spec string and constructed by :func:`make_workload`:
-
-========================== ================================================
-Spec                       Workload
-========================== ================================================
-``suite:spec29``           the full 29-benchmark SPEC CPU2006-like suite
-                           (the default; today's behaviour)
-``suite:spec29/scaled@N``  a curated ``N``-benchmark subset spanning the
-                           suite's behaviours (``small_suite(N)``, the
-                           CLI's historical ``--benchmarks N``)
-``random:n=8,seed=0``      ``n`` parametric synthetic benchmarks drawn
-                           from the :class:`ReuseProfile` space
-``service:n=8,seed=0``     ``n`` bursty, strongly-phased
-                           microservice-like benchmarks
-========================== ================================================
+spec string (``suite:spec29``, ``random:n=8,seed=0``, ...) and
+constructed by :func:`make_workload`.  The families are the rows of
+one :class:`repro.specs.Registry` table below; the grammar, the
+canonical forms and the listing rows all come from
+:mod:`repro.specs` (README "Spec strings").
 
 Every constructed workload implements the :class:`WorkloadSource`
 protocol — ``spec`` (the canonical string), ``suite()``, ``mixes(...)``
@@ -36,6 +26,7 @@ from __future__ import annotations
 import hashlib
 import re
 from typing import (
+    Any,
     Callable,
     Dict,
     List,
@@ -47,6 +38,7 @@ from typing import (
     runtime_checkable,
 )
 
+from repro.specs import Family, Param, Registry, Row, SpecError, ascii_int
 from repro.workloads.benchmark import WorkloadError
 from repro.workloads.classification import BenchmarkClass, classify_suite
 from repro.workloads.families import random_suite, service_suite
@@ -61,7 +53,7 @@ DEFAULT_WORKLOAD = "suite:spec29"
 _MAX_FAMILY_SIZE = 128
 
 
-class WorkloadSpecError(WorkloadError):
+class WorkloadSpecError(WorkloadError, SpecError):
     """Raised for unknown or malformed workload specs."""
 
 
@@ -174,56 +166,8 @@ class RegisteredWorkload:
 
 
 # ---------------------------------------------------------------------------
-# Spec parsing
+# The workload spec table
 # ---------------------------------------------------------------------------
-
-
-def _unknown(spec: str) -> WorkloadSpecError:
-    return WorkloadSpecError(
-        f"unknown workload spec {spec!r}; available workloads: "
-        + ", ".join(available_workloads())
-    )
-
-
-def _parse_params(spec: str, rest: str, defaults: Dict[str, int]) -> Dict[str, int]:
-    """Parse ``key=value`` parameter lists against a family's defaults."""
-    params = dict(defaults)
-    if not rest:
-        return params
-    for part in rest.split(","):
-        key, sep, value = part.partition("=")
-        key = key.strip()
-        if not sep or key not in defaults:
-            raise _unknown(spec)
-        try:
-            params[key] = int(value)
-        except ValueError:
-            raise _unknown(spec) from None
-    return params
-
-
-def _parse_family(spec: str, family: str, rest: str) -> Tuple[str, Callable[[], BenchmarkSuite], str]:
-    """(canonical spec, suite builder, description) for one parametric family."""
-    params = _parse_params(spec, rest, {"n": 8, "seed": 0})
-    n, seed = params["n"], params["seed"]
-    if not 0 < n <= _MAX_FAMILY_SIZE:
-        raise WorkloadSpecError(
-            f"{spec!r}: n must be in [1, {_MAX_FAMILY_SIZE}], got {n}"
-        )
-    if seed < 0:
-        raise WorkloadSpecError(f"{spec!r}: seed must be non-negative, got {seed}")
-    canonical = f"{family}:n={n},seed={seed}"
-    if family == "random":
-        return (
-            canonical,
-            lambda: random_suite(n, seed=seed),
-            f"{n} parametric synthetic benchmarks drawn from the ReuseProfile space (seed {seed})",
-        )
-    return (
-        canonical,
-        lambda: service_suite(n, seed=seed),
-        f"{n} bursty, strongly-phased microservice-like benchmarks (seed {seed})",
-    )
 
 
 def _category_subset(categories: Sequence[BenchmarkClass]) -> BenchmarkSuite:
@@ -248,165 +192,138 @@ _CATEGORY_TOKENS: Dict[str, frozenset] = {
 }
 
 
-def _parse_category_expression(spec: str, expression: str) -> List[BenchmarkClass]:
-    """Evaluate a ``token(±token)*`` category-set expression.
+#: The head value of a workload family: (suite builder, description).
+_Suite = Tuple[Callable[[], BenchmarkSuite], str]
 
-    Tokens are ``mem``/``comp``/``mix``/``all``; ``+`` is set union and
-    ``-`` set exclusion, evaluated left to right (``all-mix`` ≡
-    ``mem+comp``).  Returns the selected classes in canonical order;
-    raises for unknown tokens, dangling operators, or an expression
-    that selects nothing.
+_FULL_SUITE: _Suite = (spec_cpu2006_like_suite, "the full 29-benchmark SPEC CPU2006-like suite")
+
+
+def _suite_head(text: str, given: Dict[str, Any]) -> Tuple[str, _Suite]:
+    """Read ``spec29[/scaled@N | /<category expression>]``.
+
+    Scaling to 29 or more, or selecting every class, is the full
+    suite.  A category expression is ``token(±token)*`` over
+    ``mem``/``comp``/``mix``/``all``: ``+`` unions and ``-`` excludes,
+    left to right (``all-mix`` is ``mem+comp``).
     """
-    parts = re.split(r"([+-])", expression)
+    base, slash, modifier = text.partition("/")
+    if base != "spec29" or (slash and not modifier):
+        raise SpecError("the suite is spec29[/scaled@N | /<categories>]")
+    if not slash:
+        return "spec29", _FULL_SUITE
+    if modifier.startswith("scaled@"):
+        count = ascii_int(modifier[len("scaled@"):].strip(), "the scaled@N count", low=1)
+        if count >= 29:
+            return "spec29", _FULL_SUITE
+        return f"spec29/scaled@{count}", (
+            lambda: small_suite(count),
+            f"a curated {count}-benchmark spread of the SPEC CPU2006-like suite's behaviours",
+        )
+    parts = re.split(r"([+-])", modifier)
     tokens = [part.strip() for part in parts[::2]]
-    operators = parts[1::2]
     if any(token not in _CATEGORY_TOKENS for token in tokens):
-        raise _unknown(spec)
+        raise SpecError(f"categories are {'/'.join(_CATEGORY_TOKENS)} joined by + or -")
     selected = set(_CATEGORY_TOKENS[tokens[0]])
-    for operator, token in zip(operators, tokens[1:]):
+    for operator, token in zip(parts[1::2], tokens[1:]):
         if operator == "+":
             selected |= _CATEGORY_TOKENS[token]
         else:
             selected -= _CATEGORY_TOKENS[token]
     if not selected:
-        raise WorkloadSpecError(
-            f"{spec!r}: the category expression selects no benchmark classes"
-        )
-    return [category for category in _CATEGORY_ORDER if category in selected]
-
-
-def _parse_perf(spec: str, rest: str) -> Tuple[str, Callable[[], BenchmarkSuite], str]:
-    """Parse ``perf:<path>[,benchmarks=N][,seed=S][,digest=D]``.
-
-    The path keeps its case (this branch runs before the registry
-    lowercases anything) and must not contain commas.  Validation and
-    digesting of the file(s) behind the path happen here — cheap parse
-    + hash, never a fit — so a malformed sample file fails at the
-    ``--suite`` flag / service 400 layer, and the canonical spec pins
-    the source *content*, not just its name.
-    """
-    # Lazy import: repro.workloads.__init__ imports this registry, and
-    # repro.ingest imports repro.workloads — importing at module scope
-    # would be a cycle.
-    from repro.ingest import IngestError
-    from repro.ingest.workload import build_perf_suite, inspect_perf_path
-
-    parts = [part.strip() for part in rest.split(",")]
-    path = parts[0]
-    if not path:
-        raise WorkloadSpecError(
-            f"{spec!r}: perf needs a path — "
-            "perf:<samples.csv|samples.jsonl|bundle-dir>[,benchmarks=N][,seed=S]"
-        )
-    benchmarks: Optional[int] = None
-    seed: Optional[int] = None
-    digest: Optional[str] = None
-    for part in parts[1:]:
-        key, sep, value = part.partition("=")
-        key = key.strip().lower()
-        value = value.strip()
-        if not sep or key not in ("benchmarks", "seed", "digest"):
-            raise WorkloadSpecError(
-                f"{spec!r}: unknown perf parameter {part!r}; "
-                "valid parameters: benchmarks=N, seed=S"
-            )
-        if key == "digest":
-            digest = value.lower()
-            continue
-        try:
-            number = int(value)
-        except ValueError:
-            raise WorkloadSpecError(
-                f"{spec!r}: perf parameter {key} must be an integer, got {value!r}"
-            ) from None
-        if key == "benchmarks":
-            benchmarks = number
-        else:
-            seed = number
-    if benchmarks is not None and benchmarks <= 0:
-        raise WorkloadSpecError(f"{spec!r}: benchmarks must be positive, got {benchmarks}")
-    if seed is not None and seed < 0:
-        raise WorkloadSpecError(f"{spec!r}: seed must be non-negative, got {seed}")
-
-    try:
-        source = inspect_perf_path(path)
-    except IngestError as error:
-        raise WorkloadSpecError(f"{spec!r}: {error}") from None
-    if digest is not None and digest != source.digest:
-        raise WorkloadSpecError(
-            f"{spec!r}: samples changed on disk — the spec pins content digest "
-            f"{digest} but {path!r} now digests to {source.digest}"
-        )
-    if benchmarks is not None and benchmarks > source.num_cores:
-        raise WorkloadSpecError(
-            f"{spec!r}: benchmarks={benchmarks} out of range; "
-            f"{path!r} has {source.num_cores} profiled core(s)"
-        )
-    canonical = f"perf:{path}"
-    if benchmarks is not None:
-        canonical += f",benchmarks={benchmarks}"
-    if seed is not None:
-        canonical += f",seed={seed}"
-    canonical += f",digest={source.digest}"
-    kind = "fitted bundle" if source.is_bundle else "PMU sample stream"
-    count = benchmarks if benchmarks is not None else source.num_cores
-    return (
-        canonical,
-        lambda: build_perf_suite(path, benchmarks, seed),
-        f"{count} benchmark(s) fitted from the {kind} at {path} (digest {source.digest})",
+        raise SpecError("the category expression selects no benchmark classes")
+    if len(selected) == len(_CATEGORY_ORDER):
+        return "spec29", _FULL_SUITE
+    categories = [category for category in _CATEGORY_ORDER if category in selected]
+    label = "/".join(category.value for category in categories)
+    return "spec29/" + "+".join(category.value.lower() for category in categories), (
+        lambda: _category_subset(categories),
+        f"the {label}-class benchmarks of the SPEC CPU2006-like suite",
     )
 
 
-def _parse(spec: str) -> Tuple[str, Callable[[], BenchmarkSuite], str]:
-    """(canonical spec, suite builder, description) or raise."""
-    stripped = spec.strip()
-    perf_family, perf_sep, perf_rest = stripped.partition(":")
-    if perf_sep and perf_family.strip().lower() == "perf":
-        # Before lowercasing: the perf payload is a filesystem path.
-        return _parse_perf(stripped, perf_rest.strip())
-    normalised = stripped.lower()
-    if normalised in ("suite", DEFAULT_WORKLOAD):
-        return (
-            DEFAULT_WORKLOAD,
-            spec_cpu2006_like_suite,
-            "the full 29-benchmark SPEC CPU2006-like suite",
+def _perf_head(path: str, given: Dict[str, Any]) -> Tuple[str, _Suite]:
+    """Read and digest the samples or bundle at a ``perf:`` path.
+
+    Only a cheap parse and hash, never a fit, so a malformed sample
+    file fails at the ``--suite`` flag or as a service 400, and the
+    canonical spec pins the source *content* through its digest.
+    """
+    # Lazy import: repro.workloads.__init__ imports this registry, and
+    # repro.ingest imports repro.workloads.
+    from repro.ingest import IngestError
+    from repro.ingest.workload import build_perf_suite, inspect_perf_path
+
+    if not path or "," in path:
+        raise SpecError(
+            "perf needs one path without commas: "
+            "perf:<samples.csv|samples.jsonl|bundle-dir>[,benchmarks=N][,seed=S]"
         )
-    family, sep, rest = normalised.partition(":")
-    if not sep:
-        family, rest = normalised, ""
-    if family == "suite":
-        base, slash, modifier = rest.partition("/")
-        if base != "spec29" or not slash or not modifier:
-            raise _unknown(spec)
-        if modifier.startswith("scaled@"):
-            try:
-                count = int(modifier[len("scaled@"):])
-            except ValueError:
-                raise _unknown(spec) from None
-            if count <= 0:
-                raise WorkloadSpecError(f"{spec!r}: the scaled@N count must be positive")
-            if count >= 29:
-                # Scaling to the full size (or beyond) IS the full suite.
-                return _parse(DEFAULT_WORKLOAD)
-            return (
-                f"suite:spec29/scaled@{count}",
-                lambda: small_suite(count),
-                f"a curated {count}-benchmark spread of the SPEC CPU2006-like suite's behaviours",
-            )
-        categories = _parse_category_expression(spec, modifier)
-        if len(categories) == len(_CATEGORY_ORDER):
-            # Selecting every class IS the full suite.
-            return _parse(DEFAULT_WORKLOAD)
-        canonical_modifier = "+".join(category.value.lower() for category in categories)
-        label = "/".join(category.value for category in categories)
-        return (
-            f"suite:spec29/{canonical_modifier}",
-            lambda: _category_subset(categories),
-            f"the {label}-class benchmarks of the SPEC CPU2006-like suite",
+    try:
+        source = inspect_perf_path(path)
+    except (IngestError, OSError) as error:
+        raise SpecError(str(error)) from None
+    digest = given.get("digest")
+    if digest is not None and digest != source.digest:
+        raise SpecError(
+            f"samples changed on disk — the spec pins content digest "
+            f"{digest} but {path!r} now digests to {source.digest}"
         )
-    if family in ("random", "service"):
-        return _parse_family(spec, family, rest)
-    raise _unknown(spec)
+    benchmarks = given.get("benchmarks")
+    if benchmarks is not None and benchmarks > source.num_cores:
+        raise SpecError(
+            f"benchmarks={benchmarks} out of range; "
+            f"{path!r} has {source.num_cores} profiled core(s)"
+        )
+    given["digest"] = source.digest
+    seed = given.get("seed")
+    kind = "fitted bundle" if source.is_bundle else "PMU sample stream"
+    return path, (
+        lambda: build_perf_suite(path, benchmarks, seed),
+        f"{benchmarks or source.num_cores} benchmark(s) fitted from the {kind} at {path} "
+        f"(digest {source.digest})",
+    )
+
+
+#: Parametric synthetic families: suite builder and what its benchmarks
+#: are.  Both take the same parameters.
+_PARAMETRIC = {
+    "random": (random_suite, "parametric synthetic benchmarks drawn from the ReuseProfile space"),
+    "service": (service_suite, "bursty, strongly-phased microservice-like benchmarks"),
+}
+_FAMILY_PARAMS = (
+    Param("n", default=8, low=1, high=_MAX_FAMILY_SIZE),
+    Param("seed", default=0, low=0),
+)
+
+_SPECS = Registry("workload", WorkloadSpecError, (
+    Family("suite", head=_suite_head, default_head="spec29", rows=(
+        Row("suite:spec29", "the full 29-benchmark SPEC CPU2006-like suite (default)"),
+        Row("suite:spec29/scaled@8",
+            "a curated N-benchmark spread of the suite's behaviours (N < 29)",
+            "suite:spec29/scaled@N"),
+        Row("suite:spec29/mem",
+            "the suite restricted to one MEM/COMP/MIX behaviour class",
+            "suite:spec29/{mem|comp|mix}"),
+        Row("suite:spec29/mem+comp",
+            "category-set algebra over mem/comp/mix/all: + unions, - excludes (all-mix = mem+comp)",
+            "suite:spec29/<cats>±<cats>"),
+    )),
+    Family("perf", head=_perf_head, keep_head_case=True, params=(
+        Param("benchmarks", low=1, always=False),
+        Param("seed", low=0, always=False),
+        Param("digest", kind="text", always=False),
+    ), rows=(
+        Row("perf:tests/data/perf_ingest_samples.csv",
+            "benchmarks fitted from a PMU sample stream or ingest bundle at <path>",
+            "perf:<path>[,benchmarks=N][,seed=S]"),
+    )),
+    *(
+        Family(name, params=_FAMILY_PARAMS, rows=(
+            Row(f"{name}:n=8,seed=0", f"N {what}", f"{name}:n=N,seed=S"),
+        ))
+        for name, (_, what) in _PARAMETRIC.items()
+    ),
+))
 
 
 # ---------------------------------------------------------------------------
@@ -423,67 +340,29 @@ def canonical_workload_spec(spec: str) -> str:
     ``ValueError``) listing the available specs for anything the
     registry does not know.
     """
-    canonical, _, _ = _parse(spec)
-    return canonical
+    return _SPECS.parse(spec).canonical
 
 
 def make_workload(spec: str = DEFAULT_WORKLOAD) -> WorkloadSource:
     """Construct a workload source by spec string."""
-    canonical, builder, description = _parse(spec)
+    family, head, params, canonical = _SPECS.parse(spec)
+    if family in _PARAMETRIC:
+        build, what = _PARAMETRIC[family]
+        n, seed = params["n"], params["seed"]
+        description = f"{n} {what} (seed {seed})"
+        return RegisteredWorkload(canonical, description, lambda: build(n, seed=seed))
+    builder, description = head
     return RegisteredWorkload(canonical, description, builder)
 
 
-#: One row per registered family — (constructible exemplar spec,
-#: grammar pattern, description).  The single source for listings and
-#: unknown-spec errors; :func:`_parse` is the single parser.  Adding a
-#: family means one row here plus one branch in :func:`_parse`.
-_FAMILY_ROWS: Tuple[Tuple[str, str, str], ...] = (
-    (
-        "suite:spec29",
-        "suite:spec29",
-        "the full 29-benchmark SPEC CPU2006-like suite (default)",
-    ),
-    (
-        "suite:spec29/scaled@8",
-        "suite:spec29/scaled@N",
-        "a curated N-benchmark spread of the suite's behaviours (N < 29)",
-    ),
-    (
-        "suite:spec29/mem",
-        "suite:spec29/{mem|comp|mix}",
-        "the suite restricted to one MEM/COMP/MIX behaviour class",
-    ),
-    (
-        "suite:spec29/mem+comp",
-        "suite:spec29/<cats>±<cats>",
-        "category-set algebra over mem/comp/mix/all: + unions, - excludes (all-mix = mem+comp)",
-    ),
-    (
-        "perf:tests/data/perf_ingest_samples.csv",
-        "perf:<path>[,benchmarks=N][,seed=S]",
-        "benchmarks fitted from a PMU sample stream or ingest bundle at <path>",
-    ),
-    (
-        "random:n=8,seed=0",
-        "random:n=N,seed=S",
-        "N parametric synthetic benchmarks drawn from the ReuseProfile space",
-    ),
-    (
-        "service:n=8,seed=0",
-        "service:n=N,seed=S",
-        "N bursty, strongly-phased microservice-like benchmarks",
-    ),
-)
-
-
 def available_workloads() -> List[str]:
-    """Constructible exemplar specs, one per registered family."""
-    return [exemplar for exemplar, _, _ in _FAMILY_ROWS]
+    """Constructible exemplar specs, one per listing row."""
+    return _SPECS.available()
 
 
 def describe_workloads() -> List[Tuple[str, str]]:
     """(spec pattern, description) rows for every registered family."""
-    return [(pattern, description) for _, pattern, description in _FAMILY_ROWS]
+    return _SPECS.describe()
 
 
 def _suite_digest(suite: BenchmarkSuite) -> str:

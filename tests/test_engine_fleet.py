@@ -93,6 +93,21 @@ class TestFleetSpec:
             "fleet:attach=hostonly",
             "fleet:localhost:2,timeout=x",
             "fleet:localhost:2,timeout=-1",
+            # Non-finite timeouts used to parse and fail only on the
+            # first job (socket.settimeout rejects NaN and infinity).
+            "fleet:localhost:2,timeout=nan",
+            "fleet:localhost:2,timeout=inf",
+            "fleet:localhost:2,timeout=1e400",
+            # A host list may not resume after an option.
+            "fleet:ssh=a,timeout=3,b",
+            # python= names the ssh interpreter; elsewhere it did nothing.
+            "fleet:localhost:2,python=x",
+            "fleet:attach=h:80,python=x",
+            "fleet:ssh=a,python=",
+            # One value per key, ASCII digits only.
+            "fleet:localhost:2,timeout=5,timeout=7",
+            "fleet:localhost:\u0663",
+            "fleet:attach=h:\u0663",
         ],
     )
     def test_malformed_specs_are_rejected(self, bad):

@@ -25,9 +25,8 @@ from repro.predictors import (
     PredictorError,
     available_predictors,
     canonical_spec,
-    interp_anchors,
-    learned_params,
     make_predictor,
+    parse_spec,
     predictor_requires_traces,
 )
 from repro.workloads import small_suite
@@ -67,16 +66,19 @@ class TestSpecs:
         default = f"learned:n={DEFAULT_LEARNED_MIXES},seed={DEFAULT_LEARNED_SEED}"
         assert canonical_spec("learned") == default
         assert canonical_spec(" LEARNED:seed=3,n=8 ") == "learned:n=8,seed=3"
-        assert learned_params("learned") == (DEFAULT_LEARNED_MIXES, DEFAULT_LEARNED_SEED)
-        assert learned_params("learned:n=8,seed=3") == (8, 3)
+        assert parse_spec("learned").params == {
+            "n": DEFAULT_LEARNED_MIXES,
+            "seed": DEFAULT_LEARNED_SEED,
+        }
+        assert parse_spec("learned:n=8,seed=3").params == {"n": 8, "seed": 3}
 
     def test_interp_shorthand_and_parameters(self):
         low, high = DEFAULT_INTERP_ANCHORS
         assert canonical_spec("interp") == f"interp:anchors={low}+{high}"
         # Anchor order is normalised.
         assert canonical_spec("interp:anchors=6+2") == "interp:anchors=2+6"
-        assert interp_anchors("interp") == DEFAULT_INTERP_ANCHORS
-        assert interp_anchors("interp:anchors=3+5") == (3, 5)
+        assert parse_spec("interp").params == {"anchors": DEFAULT_INTERP_ANCHORS}
+        assert parse_spec("interp:anchors=3+5").params == {"anchors": (3, 5)}
 
     @pytest.mark.parametrize(
         "bad",
